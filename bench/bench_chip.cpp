@@ -9,7 +9,10 @@
 //
 //   rate = (N - 1) / (wall_N - wall_1)
 //
-// where wall_1 is an otherwise-identical run capped at one class.
+// where wall_1 is an otherwise-identical run capped at one class. The
+// timed runs evaluate on one thread, interleaved across arms; the
+// difference is taken within a round and the median round kept (3
+// rounds under --smoke, else 1).
 // Correctness gates, all of which fail the bench with non-zero exit:
 //   * both arms must produce bit-identical per-class fault verdicts
 //     (voltage signature, current flags, detection, status);
@@ -38,6 +41,7 @@
 //    "schur_classes_per_sec": ..., "speedup": ...,
 //    "block_reuse_rate": ..., "verdicts_match": true|false,
 //    "sharded_match": true|false}
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -117,18 +121,58 @@ bool compare_verdicts(const char* what, const VerdictMap& expected,
   return ok;
 }
 
-/// One chip campaign run; returns wall seconds, result via out-param.
-double timed_run(CampaignConfig config, std::size_t max_classes,
-                 dot::spice::SolverMode mode,
-                 MacroCampaignResult* out = nullptr) {
+MacroCampaignResult run_arm(CampaignConfig config, std::size_t max_classes,
+                            dot::spice::SolverMode mode) {
   config.max_classes = max_classes;
   config.solver.mode = mode;
   config.collect_phase_times = false;  // timed arms stay clock-free
-  const dot::bench::WallTimer timer;
-  auto result = run_chip_campaign(config);
-  const double seconds = timer.seconds();
-  if (out != nullptr) *out = std::move(result);
-  return seconds;
+  return run_chip_campaign(config);
+}
+
+/// Per arm: the class-evaluation seconds (wall_N - wall_1 of one round,
+/// median over rounds) and the N-class result.
+struct TimedArms {
+  double sparse_seconds = 0.0, schur_seconds = 0.0;
+  MacroCampaignResult sparse_result, schur_result;
+};
+
+/// Times {1, N} classes x {flat sparse, schur} over `repeats`
+/// interleaved rounds on a one-thread pool. Subtracting the setup run
+/// of the same round and taking the median round sheds host noise that
+/// a single short sample or a min over unpaired runs picks up. The
+/// floor was calibrated on serial class evaluation: with a handful of
+/// classes a pooled makespan is set by which classes share a thread
+/// rather than by solver speed. The pool is restored to `threads`
+/// afterwards.
+TimedArms time_arms(const CampaignConfig& config, std::size_t n,
+                    unsigned threads, int repeats) {
+  using dot::spice::SolverMode;
+  auto wall = [&](std::size_t classes, SolverMode mode,
+                  MacroCampaignResult* out) {
+    const dot::bench::WallTimer timer;
+    auto result = run_arm(config, classes, mode);
+    const double seconds = timer.seconds();
+    if (out != nullptr) *out = std::move(result);
+    return seconds;
+  };
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  TimedArms t;
+  std::vector<double> sparse, schur;
+  dot::util::ThreadPool::set_global_thread_count(1);
+  for (int r = 0; r < repeats; ++r) {
+    const double sparse_1 = wall(1, SolverMode::kSparse, nullptr);
+    sparse.push_back(wall(n, SolverMode::kSparse, &t.sparse_result) -
+                     sparse_1);
+    const double schur_1 = wall(1, SolverMode::kSchur, nullptr);
+    schur.push_back(wall(n, SolverMode::kSchur, &t.schur_result) - schur_1);
+  }
+  dot::util::ThreadPool::set_global_thread_count(threads);
+  t.sparse_seconds = median(sparse);
+  t.schur_seconds = median(schur);
+  return t;
 }
 
 }  // namespace
@@ -164,41 +208,28 @@ int main(int argc, char** argv) {
   args.config.macro_selection = "chip";
   args.config.chip_slices = slices;
   args.config.with_noncatastrophic = false;
-  // Batched lockstep evaluation is the production path for column-sized
-  // macros, and the only one that aggregates block-factor accounting
-  // into the campaign result (gate 3 reads it). Both arms share the
-  // setting, so the throughput comparison stays like-for-like.
-  if (args.config.batch == 1) args.config.batch = 0;  // auto
   const std::size_t n = args.config.max_classes;
   dot::bench::print_header(
       "bench_chip: full-chip campaign, schur block solve vs flat sparse");
   std::printf("chip: %d slices + biasgen + clockgen + decoder\n", slices);
 
   const dot::bench::WallTimer timer;
+  // The smoke runs last seconds, where host noise dominates one sample.
+  const int repeats = args.smoke ? 3 : 1;
 
-  // Flat sparse baseline arm.
-  MacroCampaignResult sparse_result;
-  const double sparse_wall_1 =
-      timed_run(args.config, 1, dot::spice::SolverMode::kSparse);
-  const double sparse_wall_n =
-      timed_run(args.config, n, dot::spice::SolverMode::kSparse,
-                &sparse_result);
-  // Block-arrowhead arm.
-  MacroCampaignResult schur_result;
-  const double schur_wall_1 =
-      timed_run(args.config, 1, dot::spice::SolverMode::kSchur);
-  const double schur_wall_n =
-      timed_run(args.config, n, dot::spice::SolverMode::kSchur, &schur_result);
+  const TimedArms timed = time_arms(args.config, n, args.threads, repeats);
+  const MacroCampaignResult& sparse_result = timed.sparse_result;
+  const MacroCampaignResult& schur_result = timed.schur_result;
 
   const std::size_t evaluated = sparse_result.catastrophic.size();
   const double sparse_per_class =
-      evaluated > 1 ? (sparse_wall_n - sparse_wall_1) /
-                          static_cast<double>(evaluated - 1)
-                    : 0.0;
+      evaluated > 1
+          ? timed.sparse_seconds / static_cast<double>(evaluated - 1)
+          : 0.0;
   const double schur_per_class =
-      evaluated > 1 ? (schur_wall_n - schur_wall_1) /
-                          static_cast<double>(evaluated - 1)
-                    : 0.0;
+      evaluated > 1
+          ? timed.schur_seconds / static_cast<double>(evaluated - 1)
+          : 0.0;
   const double sparse_rate =
       sparse_per_class > 0.0 ? 1.0 / sparse_per_class : 0.0;
   const double schur_rate = schur_per_class > 0.0 ? 1.0 / schur_per_class : 0.0;
@@ -226,9 +257,8 @@ int main(int argc, char** argv) {
     CampaignConfig config = args.config;
     config.resilience.shard_count = 2;
     config.resilience.shard_index = shard;
-    MacroCampaignResult shard_result;
-    timed_run(config, n, dot::spice::SolverMode::kSchur, &shard_result);
-    collect(shard_result, sharded_verdicts);
+    collect(run_arm(config, n, dot::spice::SolverMode::kSchur),
+            sharded_verdicts);
   }
   const bool sharded_match =
       compare_verdicts("sharded", schur_verdicts, sharded_verdicts);

@@ -15,11 +15,8 @@
 //                  retried under escalating solver aid and reported
 //                  unresolved after the retry budget
 //   --max-retries=N retries after a failed class attempt (default 3)
-//   --batch=N|auto  sibling-fault batch size for the lockstep
-//                  transient prepass on the comparator/bank campaigns
-//                  (1 = scalar path, the default; auto = 8)
 //   --phase-times  collect the device-eval/assembly/factor/solve
-//                  wall-time breakdown from batched evaluations
+//                  wall-time breakdown of the fault-class transients
 //   --json=FILE    machine-readable result + run metadata
 //   --json-root    shorthand for --json=BENCH_<bench>.json (the
 //                  trajectory files tracked at the repo root)
@@ -63,7 +60,7 @@ struct BenchArgs {
                  "usage: %s [--defects=N] [--envelope=N] [--classes=N] "
                  "[--seed=N] [--threads=N] [--solver=auto|dense|sparse|schur] "
                  "[--shamanskii=N] [--class-timeout-ms=T] [--max-retries=N] "
-                 "[--batch=N|auto] [--phase-times] "
+                 "[--phase-times] "
                  "[--json=FILE] [--json-root] [--quick] [--smoke]\n",
                  argv0);
   }
@@ -117,17 +114,13 @@ struct BenchArgs {
         args.config.resilience.class_timeout_ms = std::atof(v);
       } else if (const char* v = value("--max-retries=")) {
         args.config.resilience.max_retries = std::atoi(v);
-      } else if (const char* v = value("--batch=")) {
-        // "auto" maps to the sentinel 0; anything else must be a whole
-        // number, or garbage would silently select auto via strtoull.
-        char* end = nullptr;
-        args.config.batch =
-            std::strcmp(v, "auto") == 0 ? 0 : std::strtoull(v, &end, 10);
-        if (std::strcmp(v, "auto") != 0 && (end == v || *end != '\0')) {
-          std::fprintf(stderr, "%s: bad --batch value '%s'\n", argv[0], v);
-          usage(argv[0]);
-          std::exit(2);
-        }
+      } else if (value("--batch") != nullptr) {
+        std::fprintf(stderr,
+                     "%s: --batch was removed; every fault class runs on "
+                     "the one transient path\n",
+                     argv[0]);
+        usage(argv[0]);
+        std::exit(2);
       } else if (arg == "--phase-times") {
         args.config.collect_phase_times = true;
       } else if (const char* v = value("--json=")) {

@@ -16,12 +16,9 @@
 //   --resume              replay the journal, skipping completed classes
 //   --class-timeout-ms=T  wall-clock budget per class attempt (0 = off)
 //   --max-retries=N       retries under escalating solver aid (default 3)
-//   --batch=N|auto        sibling-fault batch size for the lockstep
-//                         transient prepass on the comparator/bank
-//                         campaigns (1 = scalar path, the default)
 //   --phase-times         collect the device-eval/assembly/factor/solve
-//                         wall-time breakdown from batched evaluations
-//                         (reported in the --json output)
+//                         wall-time breakdown of the fault-class
+//                         transients (reported in the --json output)
 //   --macro=NAME          run a single macro campaign instead of the
 //                         five-macro flow: comparator | ladder | biasgen
 //                         | clockgen | decoder | bank | chip

@@ -35,7 +35,7 @@ enum class ArgParse {
 inline const char* campaign_usage() {
   return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
          "          [--threads=N] [--class-timeout-ms=T] [--max-retries=N]\n"
-         "          [--batch=N|auto] [--phase-times] [--macro=NAME]\n"
+         "          [--phase-times] [--macro=NAME]\n"
          "          [--bank-size=N] [--chip-slices=N] [--solver=MODE]\n"
          "          [--quick] [--smoke]\n";
 }
@@ -60,16 +60,12 @@ inline ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
     config.resilience.class_timeout_ms = std::atof(v);
   } else if (const char* v = arg_value(arg, "--max-retries=")) {
     config.resilience.max_retries = std::atoi(v);
-  } else if (const char* v = arg_value(arg, "--batch=")) {
-    // "auto" maps to the sentinel 0; anything else must be a whole
-    // number, or garbage would silently select auto via strtoull.
-    char* end = nullptr;
-    config.batch =
-        std::strcmp(v, "auto") == 0 ? 0 : std::strtoull(v, &end, 10);
-    if (std::strcmp(v, "auto") != 0 && (end == v || *end != '\0')) {
-      std::fprintf(stderr, "%s: bad --batch value '%s'\n", argv0, v);
-      return ArgParse::kBad;
-    }
+  } else if (arg_value(arg, "--batch") != nullptr) {
+    std::fprintf(stderr,
+                 "%s: --batch was removed; every fault class runs on the "
+                 "one transient path\n",
+                 argv0);
+    return ArgParse::kBad;
   } else if (arg == "--phase-times") {
     config.collect_phase_times = true;
   } else if (const char* v = arg_value(arg, "--macro=")) {

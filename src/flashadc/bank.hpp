@@ -111,8 +111,7 @@ spice::Netlist instantiate_bank_bench(const spice::Netlist& macro_netlist,
 /// Transient settings of the bank bench (no t=0 operating point: with
 /// every clock low the sampled nodes float behind subthreshold leakage
 /// and the column-sized DC solve fails for many faulted variants, so
-/// the run integrates from the zero state). Shared by the scalar path
-/// and the batched campaign prepass.
+/// the run integrates from the zero state).
 spice::TranOptions bank_tran_options();
 
 /// Extracts the run record from a finished bank transient: decisions

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 
 #include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
@@ -18,7 +17,6 @@
 #include "flashadc/tech.hpp"
 #include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
-#include "spice/batch.hpp"
 #include "spice/montecarlo.hpp"
 #include "spice/resilience.hpp"
 #include "util/error.hpp"
@@ -56,6 +54,25 @@ DetectionOutcome make_outcome(VoltageSignature voltage,
   return out;
 }
 
+/// Outcome of a comparator-style bench (comparator, bank, chip) from its
+/// four decision-grid runs, against the fault-free grid and envelope.
+FaultOutcome classify_grid(const std::array<ComparatorRun, 4>& runs,
+                           const std::array<ComparatorRun, 4>& nominal,
+                           const macro::GoodEnvelope& envelope) {
+  FaultOutcome outcome;
+  outcome.voltage = classify_comparator(runs, nominal);
+  if (runs.front().converged && runs.back().converged) {
+    outcome.current = envelope.classify(
+        comparator_measurements(runs.front(), runs.back()));
+  } else {
+    // The faulty circuit has no valid operating point (typically a
+    // hard supply short): its supply current is grossly abnormal.
+    outcome.current.ivdd = true;
+  }
+  outcome.detection = make_outcome(outcome.voltage, outcome.current);
+  return outcome;
+}
+
 /// Fewer detection mechanisms = harder to detect. The paper keeps the
 /// worst-case (hardest) gate-oxide pinhole variant.
 int detectability_score(const FaultOutcome& outcome) {
@@ -67,15 +84,13 @@ int detectability_score(const FaultOutcome& outcome) {
   return score;
 }
 
-/// Catastrophic / non-catastrophic outcome pair of one fault class.
+/// Catastrophic / non-catastrophic outcome pair of one fault class,
+/// plus the solver work its transients reported (all attempts).
 struct ClassEval {
   std::optional<FaultOutcome> cat;
   std::optional<FaultOutcome> noncat;
+  spice::TranTotals totals;
 };
-
-/// Class index -> finished evaluation, produced by the batched lockstep
-/// prepass; evaluate_classes consumes these instead of re-simulating.
-using PrecomputedEvals = std::unordered_map<std::size_t, ClassEval>;
 
 std::vector<FaultClass> truncated_classes(
     const defect::CampaignResult& defects, const CampaignConfig& config) {
@@ -133,19 +148,17 @@ FaultModelOptions model_options(const CampaignConfig& config,
 ///     with the continuation aid ladder escalated one rung, and a class
 ///     that exhausts 1 + max_retries attempts is carried as a
 ///     structured kUnresolved outcome instead of aborting the campaign.
-///   * batching -- classes the lockstep prepass already finished (see
-///     batch_prepass) are taken from `precomputed` instead of
-///     re-simulated; a class the prepass evicted is simply absent and
-///     runs through the unchanged scalar attempt ladder below.
+///
+/// The same EvalScope carries a spice::TranTotals sink, so the phase
+/// times (--phase-times) and Schur block counters of every transient a
+/// class runs are summed into the result in class order.
 template <typename Evaluate>
-void evaluate_classes(const std::string& macro_name, const Netlist& good,
+void evaluate_classes(const Netlist& good,
                       const std::vector<FaultClass>& classes,
                       const FaultModelOptions& model_opt,
                       const CampaignConfig& config, CampaignJournal* journal,
-                      Evaluate&& evaluate,
-                      std::vector<FaultOutcome>& catastrophic,
-                      std::vector<FaultOutcome>& noncatastrophic,
-                      const PrecomputedEvals* precomputed = nullptr) {
+                      Evaluate&& evaluate, MacroCampaignResult& result) {
+  const std::string& macro_name = result.macro_name;
   const ResilienceOptions& res = config.resilience;
   if (res.shard_count == 0 || res.shard_index >= res.shard_count)
     throw util::ShardError("shard index " + std::to_string(res.shard_index) +
@@ -189,25 +202,19 @@ void evaluate_classes(const std::string& macro_name, const Netlist& good,
         return eval;
       }
     }
-    if (precomputed != nullptr) {
-      if (const auto it = precomputed->find(c); it != precomputed->end()) {
-        eval = it->second;
-        if (journal != nullptr)
-          journal->record_class(macro_name, c, eval.cat, eval.noncat);
-        return eval;
-      }
-    }
-    // Graceful shutdown: skip classes not yet evaluated (restored and
-    // precomputed ones above still land in the partial report); the
-    // caller marks the report `interrupted` and exits nonzero.
+    // Graceful shutdown: skip classes not yet evaluated (restored ones
+    // above still land in the partial report); the caller marks the
+    // report `interrupted` and exits nonzero.
     if (util::shutdown_requested()) return eval;
     const int attempts_allowed = 1 + std::max(0, res.max_retries);
     std::string failure;
+    spice::TranTotals totals;
+    totals.collect_phase_times = config.collect_phase_times;
     for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
       spice::EvalBudget budget;
       budget.timeout_ms = res.class_timeout_ms;
       budget.aid_level = attempt - 1;
-      spice::EvalScope scope(macro_name, c, budget);
+      spice::EvalScope scope(macro_name, c, budget, &totals);
       try {
         eval = evaluate_once(c);
         if (eval.cat) eval.cat->attempts = attempt;
@@ -239,153 +246,19 @@ void evaluate_classes(const std::string& macro_name, const Netlist& good,
           fault::supports_noncatastrophic(classes[c].representative))
         eval.noncat = unresolved(true);
     }
+    eval.totals = totals;
     if (journal != nullptr)
       journal->record_class(macro_name, c, eval.cat, eval.noncat);
     return eval;
   });
   for (auto& eval : evals) {
-    if (eval.cat) catastrophic.push_back(std::move(*eval.cat));
-    if (eval.noncat) noncatastrophic.push_back(std::move(*eval.noncat));
+    if (eval.cat) result.catastrophic.push_back(std::move(*eval.cat));
+    if (eval.noncat) result.noncatastrophic.push_back(std::move(*eval.noncat));
+    result.phase_times += eval.totals.phases;
+    result.block_refreshes += eval.totals.block_refreshes;
+    result.block_reuses += eval.totals.block_reuses;
+    result.lowrank_updates += eval.totals.lowrank_updates;
   }
-}
-
-/// Batched lockstep prepass over the transient-bench macros
-/// (comparator / bank): enumerates every (class, pass, variant,
-/// decision-grid) transient of `chunk` fault classes at a time, hands
-/// them to spice::run_transient_batch -- which shares the symbolic
-/// analysis, the first DC iterate and the SoA device kernels across
-/// the batch -- and reassembles per-class outcomes with the exact
-/// worst-variant logic of the scalar path. Semantics mirror the scalar
-/// flow case by case:
-///   * a member whose transient fails to converge contributes a
-///     converged=false run record, exactly like simulate_comparator's
-///     swallowed ConvergenceError;
-///   * a member that exhausts the class wall-clock budget (or dies
-///     unexpectedly) evicts its whole class from the returned map --
-///     evaluate_classes then runs the unchanged scalar attempt ladder,
-///     so retry/aid/kUnresolved accounting is untouched.
-/// `make_bench(faulty, representative, grid)` instantiates the bench,
-/// `extract_run(result, representative)` reads the run record and
-/// `classify(runs, representative)` produces the outcome (cls /
-/// non_catastrophic are filled in here).
-template <typename MakeBench, typename ExtractRun, typename ClassifyRuns>
-PrecomputedEvals batch_prepass(
-    const std::string& macro_name, const Netlist& good,
-    const std::vector<FaultClass>& classes,
-    const FaultModelOptions& model_opt, const CampaignConfig& config,
-    CampaignJournal* journal, const spice::TranOptions& tran,
-    MakeBench&& make_bench, ExtractRun&& extract_run, ClassifyRuns&& classify,
-    MacroCampaignResult& result) {
-  const ResilienceOptions& res = config.resilience;
-  PrecomputedEvals out;
-  // Auto chunk: 32 measured fastest on the comparator campaign (the
-  // shared-pattern grouping and factor reuse amortize better than 8,
-  // while 64 starts thrashing the per-member working sets).
-  const std::size_t chunk = config.batch == 0 ? 32 : config.batch;
-  spice::TranOptions options = tran;
-  options.solver = config.solver;
-  options.collect_phase_times = config.collect_phase_times;
-
-  // Classes this process still has to evaluate: its shard, minus what
-  // a resumed journal already holds.
-  std::vector<std::size_t> pending;
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    if (c % res.shard_count != res.shard_index) continue;
-    if (journal != nullptr && journal->completed(macro_name, c) != nullptr)
-      continue;
-    pending.push_back(c);
-  }
-
-  struct JobKey {
-    std::size_t cls = 0;
-    bool noncat = false;
-    int variant = 0;
-    std::size_t grid = 0;
-  };
-
-  auto skip_pass = [&](const FaultClass& cls, bool noncat) {
-    return noncat && (!config.with_noncatastrophic ||
-                      !fault::supports_noncatastrophic(cls.representative));
-  };
-
-  for (std::size_t start = 0; start < pending.size(); start += chunk) {
-    if (util::shutdown_requested()) break;  // graceful-interrupt drain
-    const std::size_t end = std::min(pending.size(), start + chunk);
-    std::vector<std::unique_ptr<Netlist>> benches;
-    std::vector<spice::BatchJob> jobs;
-    std::vector<JobKey> keys;
-    for (std::size_t p = start; p < end; ++p) {
-      const std::size_t c = pending[p];
-      const FaultClass& cls = classes[c];
-      for (int pass = 0; pass < 2; ++pass) {
-        const bool noncat = pass == 1;
-        if (skip_pass(cls, noncat)) continue;
-        const int variants = fault::model_variant_count(cls.representative);
-        for (int variant = 0; variant < variants; ++variant) {
-          const Netlist faulty = fault::apply_fault(good, cls.representative,
-                                                    model_opt, variant, noncat);
-          for (std::size_t g = 0; g < kDecisionGrid.size(); ++g) {
-            benches.push_back(std::make_unique<Netlist>(
-                make_bench(faulty, cls.representative, g)));
-            spice::BatchJob job;
-            job.netlist = benches.back().get();
-            job.options = options;
-            job.scope_macro = macro_name;
-            job.scope_class = c;
-            job.timeout_ms = res.class_timeout_ms;
-            jobs.push_back(std::move(job));
-            keys.push_back({c, noncat, variant, g});
-          }
-        }
-      }
-    }
-    const auto outcomes = spice::run_transient_batch(jobs);
-
-    for (std::size_t p = start; p < end; ++p) {
-      const std::size_t c = pending[p];
-      const FaultClass& cls = classes[c];
-      bool evicted = false;
-      for (std::size_t j = 0; j < keys.size(); ++j)
-        if (keys[j].cls == c && !outcomes[j].completed) evicted = true;
-      if (evicted) continue;  // scalar attempt ladder takes over
-      ClassEval eval;
-      for (int pass = 0; pass < 2; ++pass) {
-        const bool noncat = pass == 1;
-        if (skip_pass(cls, noncat)) continue;
-        std::optional<FaultOutcome> worst;
-        const int variants = fault::model_variant_count(cls.representative);
-        for (int variant = 0; variant < variants; ++variant) {
-          std::array<ComparatorRun, 4> runs{};
-          for (std::size_t j = 0; j < keys.size(); ++j) {
-            const JobKey& k = keys[j];
-            if (k.cls != c || k.noncat != noncat || k.variant != variant)
-              continue;
-            if (outcomes[j].converged) {
-              runs[k.grid] =
-                  extract_run(*outcomes[j].result, cls.representative);
-              const spice::TranStats& stats = outcomes[j].result->stats();
-              result.phase_times += stats.phases;
-              result.block_refreshes += stats.block_refreshes;
-              result.block_reuses += stats.block_reuses;
-              result.lowrank_updates += stats.lowrank_updates;
-            }
-            // else: default-constructed run, converged == false -- the
-            // same record simulate_comparator's catch produces.
-          }
-          FaultOutcome outcome = classify(runs, cls.representative);
-          outcome.cls = cls;
-          outcome.non_catastrophic = noncat;
-          if (!worst ||
-              detectability_score(outcome) < detectability_score(*worst))
-            worst = std::move(outcome);
-        }
-        (noncat ? eval.noncat : eval.cat) = std::move(worst);
-      }
-      out.emplace(c, std::move(eval));
-      ++result.batch_evaluated;
-    }
-  }
-  return out;
 }
 
 /// Everything the comparator fault evaluation needs, hoisted so the
@@ -393,32 +266,13 @@ PrecomputedEvals batch_prepass(
 /// classes with the exact per-comparator machinery the campaign uses.
 struct ComparatorEvalContext {
   macro::MacroCell cell;
+  spice::SolverOptions solver;
   std::array<ComparatorRun, 4> nominal;
   macro::GoodEnvelope envelope;
 
-  /// Classification given the four grid runs; shared by the scalar
-  /// path (which simulates them here) and the batched prepass (which
-  /// simulated them in lockstep).
-  FaultOutcome evaluate_runs(const std::array<ComparatorRun, 4>& runs) const {
-    FaultOutcome outcome;
-    outcome.voltage = classify_comparator(runs, nominal);
-    if (runs.front().converged && runs.back().converged) {
-      outcome.current = envelope.classify(
-          comparator_measurements(runs.front(), runs.back()));
-    } else {
-      // The faulty circuit has no valid operating point (typically a
-      // hard supply short): its supply current is grossly abnormal.
-      outcome.current.ivdd = true;
-    }
-    outcome.detection = make_outcome(outcome.voltage, outcome.current);
-    return outcome;
-  }
-
   FaultOutcome evaluate(const Netlist& faulty_macro) const {
-    std::array<ComparatorRun, 4> runs;
-    for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-      runs[i] = simulate_comparator(faulty_macro, kDecisionGrid[i]);
-    return evaluate_runs(runs);
+    return classify_grid(simulate_comparator_grid(faulty_macro, solver),
+                         nominal, envelope);
   }
 };
 
@@ -427,7 +281,7 @@ ComparatorEvalContext make_comparator_eval_context(
   macro::MacroCell cell = build_comparator_macro(config.dft);
 
   // Fault-free reference runs.
-  auto nominal = simulate_comparator_grid(cell.netlist);
+  auto nominal = simulate_comparator_grid(cell.netlist, config.solver);
 
   // Good-signature envelope over process / supply / temperature; one
   // counter-based RNG stream per Monte-Carlo sample keeps the
@@ -448,8 +302,8 @@ ComparatorEvalContext make_comparator_eval_context(
             instantiate_comparator_bench(cell.netlist, kDecisionGrid.back()),
             spread, env, supplies, rng);
         try {
-          const ComparatorRun lo = run_comparator(lo_bench);
-          const ComparatorRun hi = run_comparator(hi_bench);
+          const ComparatorRun lo = run_comparator(lo_bench, config.solver);
+          const ComparatorRun hi = run_comparator(hi_bench, config.solver);
           return comparator_measurements(lo, hi);
         } catch (const util::ConvergenceError&) {
           return std::nullopt;  // drop this Monte-Carlo sample
@@ -466,7 +320,8 @@ ComparatorEvalContext make_comparator_eval_context(
       static_cast<double>(cell.instance_count);
   auto envelope = macro::build_envelope(layout, samples, comparator_policy);
 
-  return ComparatorEvalContext{std::move(cell), nominal, std::move(envelope)};
+  return ComparatorEvalContext{std::move(cell), config.solver, nominal,
+                               std::move(envelope)};
 }
 
 }  // namespace
@@ -579,25 +434,8 @@ MacroCampaignResult run_comparator_campaign(const CampaignConfig& config,
 
   const auto classes = truncated_classes(result.defects, config);
   const FaultModelOptions model_opt = model_options(config, "vdda");
-  PrecomputedEvals precomputed;
-  if (config.batch != 1) {
-    precomputed = batch_prepass(
-        result.macro_name, cell.netlist, classes, model_opt, config, journal,
-        comparator_tran_options(),
-        [](const Netlist& faulty, const fault::CircuitFault&, std::size_t g) {
-          return instantiate_comparator_bench(faulty, kDecisionGrid[g]);
-        },
-        [](const spice::TranResult& r, const fault::CircuitFault&) {
-          return extract_comparator_run(r);
-        },
-        [&](const std::array<ComparatorRun, 4>& runs,
-            const fault::CircuitFault&) { return context.evaluate_runs(runs); },
-        result);
-  }
-  evaluate_classes(result.macro_name, cell.netlist, classes, model_opt, config,
-                   journal, evaluate, result.catastrophic,
-                   result.noncatastrophic,
-                   config.batch != 1 ? &precomputed : nullptr);
+  evaluate_classes(cell.netlist, classes, model_opt, config, journal,
+                   evaluate, result);
   return result;
 }
 
@@ -677,10 +515,9 @@ MacroCampaignResult run_ladder_campaign(const CampaignConfig& config,
     return outcome;
   };
 
-  evaluate_classes(result.macro_name, cell.netlist,
-                   truncated_classes(result.defects, config),
+  evaluate_classes(cell.netlist, truncated_classes(result.defects, config),
                    model_options(config, "vdda"), config, journal, evaluate,
-                   result.catastrophic, result.noncatastrophic);
+                   result);
   return result;
 }
 
@@ -744,10 +581,9 @@ MacroCampaignResult run_biasgen_campaign(const CampaignConfig& config,
     return outcome;
   };
 
-  evaluate_classes(result.macro_name, cell.netlist,
-                   truncated_classes(result.defects, config),
+  evaluate_classes(cell.netlist, truncated_classes(result.defects, config),
                    model_options(config, "vdda"), config, journal, evaluate,
-                   result.catastrophic, result.noncatastrophic);
+                   result);
   return result;
 }
 
@@ -823,10 +659,9 @@ MacroCampaignResult run_clockgen_campaign(const CampaignConfig& config,
     return outcome;
   };
 
-  evaluate_classes(result.macro_name, cell.netlist,
-                   truncated_classes(result.defects, config),
+  evaluate_classes(cell.netlist, truncated_classes(result.defects, config),
                    model_options(config, "vddd"), config, journal, evaluate,
-                   result.catastrophic, result.noncatastrophic);
+                   result);
   return result;
 }
 
@@ -888,10 +723,9 @@ MacroCampaignResult run_decoder_campaign(const CampaignConfig& config,
     return outcome;
   };
 
-  evaluate_classes(result.macro_name, cell.netlist,
-                   truncated_classes(result.defects, config),
+  evaluate_classes(cell.netlist, truncated_classes(result.defects, config),
                    model_options(config, "vddd"), config, journal, evaluate,
-                   result.catastrophic, result.noncatastrophic);
+                   result);
   return result;
 }
 
@@ -968,56 +802,20 @@ MacroCampaignResult run_bank_campaign(const CampaignConfig& config,
   bank_policy.iinput_dilution *= static_cast<double>(cell.instance_count);
   const auto envelope = macro::build_envelope(layout, samples, bank_policy);
 
-  // Classification from the four grid runs; shared by the scalar
-  // evaluation and the batched prepass. The nominal grid is
-  // slice-independent by construction, so it applies to whichever
-  // slice the fault is observed at.
-  auto classify_runs = [&](const std::array<ComparatorRun, 4>& runs,
-                           const fault::CircuitFault&) {
-    FaultOutcome outcome;
-    outcome.voltage = classify_comparator(runs, nominal);
-    if (runs.front().converged && runs.back().converged) {
-      outcome.current = envelope.classify(
-          comparator_measurements(runs.front(), runs.back()));
-    } else {
-      // No valid operating point: supply current grossly abnormal.
-      outcome.current.ivdd = true;
-    }
-    outcome.detection = make_outcome(outcome.voltage, outcome.current);
-    return outcome;
-  };
-
+  // The nominal grid is slice-independent by construction, so it
+  // applies to whichever slice the fault is observed at.
   auto evaluate = [&](const Netlist& faulty_macro,
                       const fault::CircuitFault& representative) {
     // Observe the slice the fault touches (shared faults at mid-scale).
     const int slice = bank_observed_slice(bank_opt, representative);
-    const auto runs = simulate_bank_grid(faulty_macro, bank_opt, slice);
-    return classify_runs(runs, representative);
+    return classify_grid(simulate_bank_grid(faulty_macro, bank_opt, slice),
+                         nominal, envelope);
   };
 
   const auto classes = truncated_classes(result.defects, config);
   const FaultModelOptions model_opt = model_options(config, "vdda");
-  PrecomputedEvals precomputed;
-  if (config.batch != 1) {
-    precomputed = batch_prepass(
-        result.macro_name, cell.netlist, classes, model_opt, config, journal,
-        bank_tran_options(),
-        [&](const Netlist& faulty, const fault::CircuitFault& rep,
-            std::size_t g) {
-          return instantiate_bank_bench(faulty, bank_opt,
-                                        bank_observed_slice(bank_opt, rep),
-                                        kDecisionGrid[g]);
-        },
-        [&](const spice::TranResult& r, const fault::CircuitFault& rep) {
-          return extract_bank_run(r, bank_opt,
-                                  bank_observed_slice(bank_opt, rep));
-        },
-        classify_runs, result);
-  }
-  evaluate_classes(result.macro_name, cell.netlist, classes, model_opt, config,
-                   journal, evaluate, result.catastrophic,
-                   result.noncatastrophic,
-                   config.batch != 1 ? &precomputed : nullptr);
+  evaluate_classes(cell.netlist, classes, model_opt, config, journal,
+                   evaluate, result);
   return result;
 }
 
@@ -1141,50 +939,17 @@ MacroCampaignResult run_chip_campaign(const CampaignConfig& config,
   const auto envelope =
       macro::build_envelope(layout, samples, config.band_policy);
 
-  auto classify_runs = [&](const std::array<ComparatorRun, 4>& runs,
-                           const fault::CircuitFault&) {
-    FaultOutcome outcome;
-    outcome.voltage = classify_comparator(runs, nominal);
-    if (runs.front().converged && runs.back().converged) {
-      outcome.current = envelope.classify(
-          comparator_measurements(runs.front(), runs.back()));
-    } else {
-      outcome.current.ivdd = true;  // no valid operating point
-    }
-    outcome.detection = make_outcome(outcome.voltage, outcome.current);
-    return outcome;
-  };
-
   auto evaluate = [&](const Netlist& faulty_macro,
                       const fault::CircuitFault& representative) {
     const int slice = chip_observed_slice(chip_opt, representative);
-    const auto runs = simulate_chip_grid(faulty_macro, chip_opt, slice);
-    return classify_runs(runs, representative);
+    return classify_grid(simulate_chip_grid(faulty_macro, chip_opt, slice),
+                         nominal, envelope);
   };
 
   const auto classes = truncated_classes(result.defects, config);
   const FaultModelOptions model_opt = model_options(config, "vdda");
-  PrecomputedEvals precomputed;
-  if (config.batch != 1) {
-    precomputed = batch_prepass(
-        result.macro_name, cell.netlist, classes, model_opt, config, journal,
-        chip_tran_options(),
-        [&](const Netlist& faulty, const fault::CircuitFault& rep,
-            std::size_t g) {
-          return instantiate_chip_bench(faulty, chip_opt,
-                                        chip_observed_slice(chip_opt, rep),
-                                        kDecisionGrid[g]);
-        },
-        [&](const spice::TranResult& r, const fault::CircuitFault& rep) {
-          return extract_chip_run(r, chip_opt,
-                                  chip_observed_slice(chip_opt, rep));
-        },
-        classify_runs, result);
-  }
-  evaluate_classes(result.macro_name, cell.netlist, classes, model_opt, config,
-                   journal, evaluate, result.catastrophic,
-                   result.noncatastrophic,
-                   config.batch != 1 ? &precomputed : nullptr);
+  evaluate_classes(cell.netlist, classes, model_opt, config, journal,
+                   evaluate, result);
   return result;
 }
 

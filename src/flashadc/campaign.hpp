@@ -80,23 +80,17 @@ struct CampaignConfig {
   fault::FaultModelOptions fault_models;
   /// Defect statistics used for sprinkling.
   defect::DefectStatistics statistics;
-  /// Linear-solver selection for every DC solve in the campaign. The
-  /// golden symbolic factorization is cached per macro context and
-  /// shared across workers (results are solver-mode independent to
-  /// within Newton's vtol, and bit-identical at any thread count for a
-  /// fixed mode).
+  /// Linear-solver selection for every DC solve and transient in the
+  /// campaign (golden grid, envelope, class evaluation, equivalence
+  /// re-evaluation). The golden symbolic factorization is cached per
+  /// macro context and shared across workers (results are solver-mode
+  /// independent to within Newton's vtol, and bit-identical at any
+  /// thread count for a fixed mode).
   spice::SolverOptions solver;
   /// Sharding / checkpoint-resume / degradation knobs.
   ResilienceOptions resilience;
-  /// Batched sibling-fault evaluation: fault classes evaluated together
-  /// per lockstep transient batch on the transient-bench macros
-  /// (comparator, bank). 1 = scalar path (default, byte-identical to
-  /// the original flow); 0 = auto (currently 32). A batch member that
-  /// exhausts its budget degrades to the unchanged scalar attempt
-  /// ladder for its class, so resilience semantics are preserved.
-  std::size_t batch = 1;
   /// Collect the device-eval / assembly / factor / solve wall-time
-  /// breakdown from batched evaluations (MacroCampaignResult::
+  /// breakdown of every fault-class transient (MacroCampaignResult::
   /// phase_times). Off by default: the hot loops stay clock-free.
   bool collect_phase_times = false;
   /// Which macro campaign run_campaign drives: "all" (the five-macro
@@ -142,16 +136,13 @@ struct MacroCampaignResult {
   defect::CampaignResult defects;
   std::vector<FaultOutcome> catastrophic;
   std::vector<FaultOutcome> noncatastrophic;
-  /// Fault classes whose whole evaluation came from the batched
-  /// lockstep prepass (0 on the scalar path / non-batched macros).
-  std::size_t batch_evaluated = 0;
-  /// Solver wall-time breakdown summed over the batched evaluations;
-  /// all zero unless CampaignConfig::collect_phase_times was set.
+  /// Solver wall-time breakdown summed over the fault-class transients
+  /// evaluated here (classes restored from a journal add nothing); all
+  /// zero unless CampaignConfig::collect_phase_times was set.
   spice::PhaseTimes phase_times;
-  /// Schur block-factor accounting summed over the batched
-  /// evaluations (zero on the flat solver paths): full block
-  /// refactorizations, bit-identical block reuses, exact low-rank
-  /// updates.
+  /// Schur block-factor accounting summed over the same transients
+  /// (zero on the flat solver paths): full block refactorizations,
+  /// bit-identical block reuses, exact low-rank updates.
   std::size_t block_refreshes = 0;
   std::size_t block_reuses = 0;
   std::size_t lowrank_updates = 0;

@@ -133,15 +133,18 @@ ComparatorRun extract_comparator_run(const spice::TranResult& result) {
   return run;
 }
 
-ComparatorRun run_comparator(const Netlist& full_bench) {
-  return extract_comparator_run(
-      spice::transient(full_bench, comparator_tran_options()));
+ComparatorRun run_comparator(const Netlist& full_bench,
+                             const spice::SolverOptions& solver) {
+  spice::TranOptions tran = comparator_tran_options();
+  tran.solver = solver;
+  return extract_comparator_run(spice::transient(full_bench, tran));
 }
 
-ComparatorRun simulate_comparator(const Netlist& macro, double delta_v) {
+ComparatorRun simulate_comparator(const Netlist& macro, double delta_v,
+                                  const spice::SolverOptions& solver) {
   const Netlist bench = instantiate_comparator_bench(macro, delta_v);
   try {
-    return run_comparator(bench);
+    return run_comparator(bench, solver);
   } catch (const util::ConvergenceError&) {
     ComparatorRun failed;
     failed.converged = false;
@@ -150,9 +153,14 @@ ComparatorRun simulate_comparator(const Netlist& macro, double delta_v) {
 }
 
 std::array<ComparatorRun, 4> simulate_comparator_grid(const Netlist& macro) {
+  return simulate_comparator_grid(macro, spice::SolverOptions{});
+}
+
+std::array<ComparatorRun, 4> simulate_comparator_grid(
+    const Netlist& macro, const spice::SolverOptions& solver) {
   std::array<ComparatorRun, 4> runs;
   for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] = simulate_comparator(macro, kDecisionGrid[i]);
+    runs[i] = simulate_comparator(macro, kDecisionGrid[i], solver);
   return runs;
 }
 

@@ -42,26 +42,30 @@ struct ComparatorRun {
 spice::Netlist instantiate_comparator_bench(const spice::Netlist& macro,
                                             double delta_v);
 
-/// Transient settings of the two-cycle comparator bench (shared by the
-/// scalar path and the batched campaign prepass, which simulates many
-/// benches in lockstep and extracts each record afterwards).
+/// Transient settings of the two-cycle comparator bench (default
+/// solver options: kAuto, which transient() runs sparse).
 spice::TranOptions comparator_tran_options();
 
 /// Extracts the run record from a finished two-cycle transient
 /// (decisions, phase-midpoint currents, clock levels; converged=true).
 ComparatorRun extract_comparator_run(const spice::TranResult& result);
 
-/// Runs the two-cycle transient and extracts the run record. Throws
-/// util::ConvergenceError when a step fails (callers decide policy).
-ComparatorRun run_comparator(const spice::Netlist& full_bench);
+/// Runs the two-cycle transient under `solver` and extracts the run
+/// record. Throws util::ConvergenceError when a step fails (callers
+/// decide policy).
+ComparatorRun run_comparator(const spice::Netlist& full_bench,
+                             const spice::SolverOptions& solver = {});
 
-/// Convenience: bench + run for a macro netlist at one input level.
-ComparatorRun simulate_comparator(const spice::Netlist& macro,
-                                  double delta_v);
+/// Convenience: bench + run for a macro netlist at one input level; a
+/// convergence failure returns converged = false instead of throwing.
+ComparatorRun simulate_comparator(const spice::Netlist& macro, double delta_v,
+                                  const spice::SolverOptions& solver = {});
 
 /// All four grid points. Index order follows kDecisionGrid.
 std::array<ComparatorRun, 4> simulate_comparator_grid(
     const spice::Netlist& macro);
+std::array<ComparatorRun, 4> simulate_comparator_grid(
+    const spice::Netlist& macro, const spice::SolverOptions& solver);
 
 /// Measurement layout for the current envelope: the 24 current values of
 /// the two outer-grid runs (vin below / above the full reference range).

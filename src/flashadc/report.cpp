@@ -69,10 +69,8 @@ void write_macro(util::JsonWriter& w, const MacroCampaignResult& r) {
   w.value(r.unresolved_weight(false));
   w.key("unresolved_classes");
   w.value(r.unresolved_classes());
-  w.key("batch_evaluated");
-  w.value(r.batch_evaluated);
   if (r.phase_times.total_seconds() > 0.0) {
-    // Solver wall-time breakdown of the batched evaluations (collected
+    // Solver wall-time breakdown of the class transients (collected
     // only when CampaignConfig::collect_phase_times is set).
     w.key("phase_times");
     w.begin_object();
@@ -96,7 +94,7 @@ void write_macro(util::JsonWriter& w, const MacroCampaignResult& r) {
     w.end_object();
   }
   if (r.block_refreshes + r.block_reuses + r.lowrank_updates > 0) {
-    // Schur block-factor accounting of the batched evaluations.
+    // Schur block-factor accounting of the class transients.
     w.key("block_factor");
     w.begin_object();
     w.key("refreshes");

@@ -58,11 +58,11 @@ struct CsrPattern {
 /// upcoming add() stream is identical to the last one frozen under the
 /// same tag (a fixed netlist stamped in a fixed analysis mode). The
 /// assembler then skips the code push and comparison entirely and
-/// scatters each add() straight into its cached CSR slot -- the batched
-/// fault-evaluation hot path. Accumulation order is unchanged (stream
-/// order into slots), so the values are bit-identical to the checked
-/// path. A tag or size change refreezes from scratch; tag 0 always runs
-/// the checked path.
+/// scatters each add() straight into its cached CSR slot -- the
+/// transient engine's hot path (spice::MosKernel). Accumulation order
+/// is unchanged (stream order into slots), so the values are
+/// bit-identical to the checked path. A tag or size change refreezes
+/// from scratch; tag 0 always runs the checked path.
 template <typename Scalar>
 class SparseAssemblerT {
  public:
@@ -196,10 +196,8 @@ class SparseFactorsT {
   void solve_into(const std::vector<Scalar>& b, std::vector<Scalar>& x);
 
   /// Multi-RHS solve: one triangular sweep per right-hand side over the
-  /// shared factors (the batched Newton path solves all sibling fault
-  /// members against one factorization). Each column's arithmetic is
-  /// exactly solve_into's, so result k is bit-identical to an
-  /// individual solve of rhs[k].
+  /// shared factors. Each column's arithmetic is exactly solve_into's,
+  /// so result k is bit-identical to an individual solve of rhs[k].
   void solve_multi(const std::vector<const std::vector<Scalar>*>& rhs,
                    std::vector<std::vector<Scalar>>& x);
 

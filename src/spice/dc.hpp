@@ -49,10 +49,14 @@ struct DcResult {
 /// classes with a shared node layout) to amortize analysis and
 /// allocation. Without one, a private context with default options is
 /// used.
+/// `kernel` (optional) routes the MOSFET stamping of every Newton
+/// iteration through a MosKernel built for this netlist and map (the
+/// transient engine's t = 0 solve); the result is bit-identical.
 DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
                             const DcOptions& options = {},
                             const std::vector<double>* warm_start = nullptr,
-                            SolverContext* solver = nullptr);
+                            SolverContext* solver = nullptr,
+                            MosKernel* kernel = nullptr);
 
 /// Newton loop from a given initial guess at fixed gshunt/source scale.
 /// Returns converged=false instead of throwing; building block for the

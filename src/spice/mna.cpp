@@ -1,10 +1,12 @@
 #include "spice/mna.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
 
+#include "spice/solver.hpp"
 #include "util/error.hpp"
 
 namespace dot::spice {
@@ -379,7 +381,7 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             stamp.conductance(d.a, d.b, switch_conductance(d, vctrl));
           } else if constexpr (std::is_same_v<T, Mosfet>) {
             if (options.mos_companions != nullptr) {
-              // Batched path: the SoA kernel already evaluated this
+              // MosKernel path: the SoA kernel already evaluated this
               // occurrence for the current iterate (prepare_assembly);
               // stamp the precomputed companion directly.
               const MosCompanion& c = (*options.mos_companions)[mos_index++];
@@ -436,6 +438,58 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
 }
 
 }  // namespace
+
+MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map) {
+  // One lane per MOSFET occurrence, in device order (the order assembly
+  // consumes companions in).
+  for (const auto& device : netlist.devices()) {
+    const auto* mos = std::get_if<Mosfet>(&device);
+    if (mos == nullptr) continue;
+    drain_.push_back(map.node_index(mos->drain));
+    gate_.push_back(map.node_index(mos->gate));
+    source_.push_back(map.node_index(mos->source));
+    bulk_.push_back(map.node_index(mos->bulk));
+    sign_.push_back(mos->type == MosType::kNmos ? 1.0 : -1.0);
+    lanes_.push_device(mos->model, mos->w / mos->l);
+  }
+  companions_.resize(sign_.size());
+  prepare_hook_ = [this](const std::vector<double>& x) { prepare(x); };
+}
+
+void MosKernel::install(StampOptions& stamp, std::uint32_t tag) {
+  stamp.mos_companions = &companions_;
+  stamp.prepare_assembly = &prepare_hook_;
+  stamp.stream_tag = tag;
+  stamp.mos_plan = &plan_;
+}
+
+void MosKernel::prepare(const std::vector<double>& x) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point t0;
+  if (phase_times_ != nullptr) t0 = Clock::now();
+  // The same arithmetic, in the same order, as the scalar MOSFET
+  // stamping branch of assemble_into.
+  auto v = [&](int i) { return i < 0 ? 0.0 : x[static_cast<std::size_t>(i)]; };
+  const std::size_t count = sign_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const double vs = v(source_[i]);
+    lanes_.vgs[i] = sign_[i] * (v(gate_[i]) - vs);
+    lanes_.vds[i] = sign_[i] * (v(drain_[i]) - vs);
+    lanes_.vbs[i] = sign_[i] * (v(bulk_[i]) - vs);
+  }
+  eval_mos_batch(lanes_);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double gm = lanes_.gm[i];
+    const double gds = lanes_.gds[i];
+    const double gmb = lanes_.gmb[i];
+    const double ieq = lanes_.ids[i] - gm * lanes_.vgs[i] -
+                       gds * lanes_.vds[i] - gmb * lanes_.vbs[i];
+    companions_[i] = MosCompanion{gm, gds, gmb, sign_[i] * ieq};
+  }
+  if (phase_times_ != nullptr)
+    phase_times_->device_eval_seconds +=
+        std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x,

@@ -35,7 +35,7 @@ enum class Integrator {
 /// Precomputed Newton companion model for one MOSFET occurrence, in the
 /// device's NMOS-normalized convention; `ieq` already carries the
 /// polarity sign, so it stamps as-is (see the MOSFET branch in
-/// assemble_into). Produced by the batched SoA device kernel.
+/// assemble_into). Produced by the SoA device kernel (MosKernel).
 struct MosCompanion {
   double gm = 0.0;
   double gds = 0.0;
@@ -43,7 +43,7 @@ struct MosCompanion {
   double ieq = 0.0;  ///< sign * (ids - gm*vgs - gds*vds - gmb*vbs).
 };
 
-/// Precompiled MOSFET stamp segments for the batched Newton path.
+/// Precompiled MOSFET stamp segments for the transient Newton loop.
 ///
 /// Stamping a MOSFET companion walks four Stamper calls per device:
 /// node-index lookups, grounded-terminal guards and sign branches that
@@ -59,9 +59,9 @@ struct MosCompanion {
 /// values (+/-1.0 multiplies are exact), so the assembled system is
 /// bit-identical to full stamping.
 ///
-/// Owned by the batch engine, one instance per member; scalar callers
-/// leave StampOptions::mos_plan null and are untouched. The plan is
-/// captured on the first trusted-stream round after the pattern
+/// Owned by a MosKernel, one per transient run; callers without a
+/// kernel leave StampOptions::mos_plan null and are untouched. The plan
+/// is captured on the first trusted-stream round after the pattern
 /// freezes, keyed by the stream tag: a tag change (DC -> transient
 /// stream) discards and recaptures. assemble_mna validates the
 /// predicted add count against the assembler cursor at capture and
@@ -94,16 +94,17 @@ struct StampOptions {
   /// ordered by capacitor occurrence in the device list.
   const std::vector<double>* cap_i_prev = nullptr;
 
-  // --- Batched-evaluation hooks (defaults keep the scalar path
-  // byte-identical; see spice/batch.hpp). ---
+  // --- Fast-assembly hooks, installed by MosKernel::install (the
+  // defaults run the plain Stamper walk; both assemble bit-identical
+  // systems). ---
   /// Precomputed MOSFET companions, one entry per Mosfet in device
   /// order. When set, assembly consumes them instead of evaluating the
   /// level-1 model inline; `prepare_assembly` is expected to refresh
   /// them for the candidate iterate.
   const std::vector<MosCompanion>* mos_companions = nullptr;
   /// Invoked with the candidate iterate at the top of every assembly,
-  /// before any stamping: the batch path gathers terminal voltages and
-  /// runs the SoA device kernel here.
+  /// before any stamping: MosKernel gathers terminal voltages and runs
+  /// the SoA device kernel here.
   const std::function<void(const std::vector<double>& x)>* prepare_assembly =
       nullptr;
   /// Trusted-stream tag forwarded to SparseAssembler::begin (nonzero
@@ -114,6 +115,13 @@ struct StampOptions {
   /// mos_companions only; see MosStampPlan). Null disables the plan.
   MosStampPlan* mos_plan = nullptr;
 };
+
+/// Trusted-stream tags of the two stamp streams one netlist produces:
+/// capacitors and inductors stamp differently in DC and transient mode,
+/// so each analysis mode gets its own tag and a mode switch refreezes
+/// the assembler once.
+inline constexpr std::uint32_t kDcStreamTag = 1;
+inline constexpr std::uint32_t kTransientStreamTag = 2;
 
 /// Index map from netlist entities to unknown-vector slots. The map is
 /// value-semantic so results can outlive the netlist they came from.
@@ -155,6 +163,49 @@ class MnaMap {
   std::size_t node_unknowns_ = 0;
   std::unordered_map<std::string, std::size_t> branch_;
   std::vector<std::size_t> branch_order_;  ///< Branch slots in device order.
+};
+
+struct PhaseTimes;
+
+/// Fast MOSFET assembly for one netlist: the SoA level-1 kernel over
+/// every MOSFET occurrence (gather terminal voltages, eval_mos_batch,
+/// companion refresh) behind StampOptions::prepare_assembly, plus the
+/// precompiled stamp plan. The assembled systems are bit-identical to
+/// the plain Stamper walk: the kernel lanes match eval_mos, the
+/// companions are formed with the scalar branch's arithmetic in the
+/// same order, and the plan replays the exact stream slots.
+///
+/// Holds a hook that points back at the kernel, so it is neither
+/// copyable nor movable; the netlist and map need not outlive it.
+class MosKernel {
+ public:
+  MosKernel(const Netlist& netlist, const MnaMap& map);
+  MosKernel(const MosKernel&) = delete;
+  MosKernel& operator=(const MosKernel&) = delete;
+
+  /// Number of MOSFET occurrences (0: nothing to accelerate).
+  std::size_t size() const { return sign_.size(); }
+
+  /// Routes the MOSFET stamping of `stamp` through this kernel on the
+  /// trusted stream `tag` (kDcStreamTag / kTransientStreamTag). The
+  /// stamp stream must then be fixed for that tag: same netlist, same
+  /// analysis mode.
+  void install(StampOptions& stamp, std::uint32_t tag);
+
+  /// Attaches a phase-time sink: kernel time is added to its
+  /// device_eval_seconds (newton_solve subtracts it from assembly).
+  void set_phase_times(PhaseTimes* sink) { phase_times_ = sink; }
+
+ private:
+  void prepare(const std::vector<double>& x);
+
+  std::vector<int> drain_, gate_, source_, bulk_;
+  std::vector<double> sign_;
+  DeviceBatch lanes_;
+  std::vector<MosCompanion> companions_;
+  MosStampPlan plan_;
+  std::function<void(const std::vector<double>&)> prepare_hook_;
+  PhaseTimes* phase_times_ = nullptr;
 };
 
 /// Assembles the Newton-linearized MNA system around candidate solution

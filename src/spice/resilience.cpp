@@ -23,10 +23,11 @@ std::atomic<bool> g_plan_active{false};
 }  // namespace
 
 EvalScope::EvalScope(std::string macro, std::size_t class_index,
-                     EvalBudget budget)
+                     EvalBudget budget, TranTotals* totals)
     : macro_(std::move(macro)),
       class_index_(class_index),
       budget_(budget),
+      totals_(totals),
       prev_(t_scope) {
   if (budget_.timeout_ms > 0.0) {
     has_deadline_ = true;
@@ -57,6 +58,10 @@ void EvalScope::check_deadline() {
 
 int EvalScope::aid_level() {
   return t_scope != nullptr ? t_scope->budget_.aid_level : 0;
+}
+
+TranTotals* EvalScope::tran_totals() {
+  return t_scope != nullptr ? t_scope->totals_ : nullptr;
 }
 
 void set_injection_plan(InjectionPlan plan) {

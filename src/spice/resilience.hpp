@@ -14,7 +14,11 @@
 //     escalates the ladder dc_operating_point walks (extended gmin
 //     stepping -> finer source-stepping ramp -> heavily damped Newton
 //     from a reset start). Level 0 is the stock strategy set, so
-//     non-campaign callers see byte-identical behaviour.
+//     non-campaign callers see byte-identical behaviour;
+//   * an optional TranTotals sink (spice/transient.hpp): every
+//     transient() run inside the scope adds its phase times and
+//     block-factor counters to it, so a campaign attributes solver work
+//     per class without threading a sink through each macro simulator.
 //
 // EvalScope is thread-local and nests (campaigns run nested parallel
 // loops); the innermost scope wins.
@@ -33,6 +37,8 @@
 
 namespace dot::spice {
 
+struct TranTotals;
+
 /// Evaluation budget for one fault-class attempt.
 struct EvalBudget {
   /// Wall-clock budget per attempt in milliseconds; 0 disables the
@@ -46,7 +52,8 @@ struct EvalBudget {
 /// `macro` under `budget`".
 class EvalScope {
  public:
-  EvalScope(std::string macro, std::size_t class_index, EvalBudget budget);
+  EvalScope(std::string macro, std::size_t class_index, EvalBudget budget,
+            TranTotals* totals = nullptr);
   ~EvalScope();
   EvalScope(const EvalScope&) = delete;
   EvalScope& operator=(const EvalScope&) = delete;
@@ -62,6 +69,9 @@ class EvalScope {
   /// Aid level of the innermost scope (0 without one).
   static int aid_level();
 
+  /// TranTotals sink of the innermost scope (nullptr without one).
+  static TranTotals* tran_totals();
+
   const std::string& macro() const { return macro_; }
   std::size_t class_index() const { return class_index_; }
   const EvalBudget& budget() const { return budget_; }
@@ -71,6 +81,7 @@ class EvalScope {
   std::string macro_;
   std::size_t class_index_ = 0;
   EvalBudget budget_;
+  TranTotals* totals_ = nullptr;
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   EvalScope* prev_ = nullptr;

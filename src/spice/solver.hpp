@@ -16,9 +16,9 @@
 //      across all Newton iterations and continuation rungs of that
 //      solve.
 //
-// The dense path remains both the small-system fast path (below the
-// crossover an O(n^3) factor beats the sparse machinery's overhead) and
-// the robustness fallback when sparse analysis rejects the matrix.
+// The dense path remains both the small one-shot-solve fast path (below
+// the crossover an O(n^3) factor beats a fresh sparse analysis) and the
+// robustness fallback when sparse analysis rejects the matrix.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +33,8 @@
 namespace dot::spice {
 
 enum class SolverMode {
-  kAuto,    ///< Sparse at/above SolverOptions::sparse_threshold unknowns.
+  kAuto,    ///< Sparse at/above SolverOptions::sparse_threshold unknowns
+            ///< for one-shot solves; always sparse inside transient().
   kDense,   ///< Always dense partial-pivoting LU.
   kSparse,  ///< Always sparse (dense only as singular-pattern fallback).
   kSchur,   ///< Block-arrowhead Schur solve over a slice partition
@@ -48,9 +49,14 @@ const char* solver_mode_name(SolverMode mode);
 
 struct SolverOptions {
   SolverMode mode = SolverMode::kAuto;
-  /// kAuto crossover: systems with at least this many unknowns go
-  /// sparse. Default measured with bench_solver on the MNA-style
-  /// benchmark netlists (see DESIGN.md).
+  /// kAuto crossover for one-shot solves (DC operating points, AC
+  /// sweeps): systems with at least this many unknowns go sparse, those
+  /// below it factor dense. A transient refactors one pattern hundreds
+  /// of times against a cached symbolic analysis, so transient() runs
+  /// sparse under kAuto at every size and ignores this value. The
+  /// committed bench_solver crossover (BENCH_bench_solver.json) is
+  /// n = 18 on its MNA-style netlists; 48 is kept because lowering it
+  /// would move the DC solves of the small campaign macros.
   std::size_t sparse_threshold = 48;
   /// Shamanskii-style Newton: reuse the numeric factors for up to this
   /// many consecutive iterations before refactoring. 1 = classic Newton
@@ -72,8 +78,9 @@ struct SolverSeed {
 /// iteration to its phases: device (companion-model) evaluation, MNA
 /// assembly (stamping minus device eval), numeric factorization, and
 /// triangular solves. Collected only when a PhaseTimes sink is attached
-/// to the SolverContext (the batched campaign path); the scalar hot
-/// loop stays clock-free.
+/// to the SolverContext (TranOptions::collect_phase_times, or a
+/// campaign run with --phase-times); without one the hot loop stays
+/// clock-free.
 struct PhaseTimes {
   double device_eval_seconds = 0.0;
   double assembly_seconds = 0.0;
@@ -174,18 +181,6 @@ class SolverContext {
   /// Solves with the factors from the last successful factor() call
   /// (which may be deliberately stale under Shamanskii reuse).
   void solve(const std::vector<double>& b, std::vector<double>& x);
-
-  /// Multi-RHS solve against the current factors: one factor sweep,
-  /// all right-hand sides in lockstep, each result bit-identical to an
-  /// individual solve(). Requires the sparse factors to be active (the
-  /// batched Newton path checks sparse_active() first).
-  void solve_multi(const std::vector<const std::vector<double>*>& rhs,
-                   std::vector<std::vector<double>>& x);
-
-  /// Injects a symbolic analysis produced by a sibling context (the
-  /// batch group leader) into this context's cache, so the next sparse
-  /// factor() of the same pattern refactors without re-analyzing.
-  void adopt_symbolic(std::shared_ptr<const numeric::SparseSymbolic> symbolic);
 
   /// Attaches (or detaches, with nullptr) a per-phase wall-time sink;
   /// newton_solve and the stamping hooks accumulate into it. The sink

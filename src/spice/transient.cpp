@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "spice/partition.hpp"
+#include "spice/resilience.hpp"
 #include "util/error.hpp"
 
 namespace dot::spice {
@@ -168,33 +169,61 @@ TranResult transient(const Netlist& netlist, const TranOptions& options) {
 
   // One solver context for the whole run: the matrix pattern is fixed,
   // so every time step after the first refactors against the cached
-  // symbolic analysis.
-  SolverContext solver(options.solver);
-  if (options.solver.mode == SolverMode::kSchur)
+  // symbolic analysis -- which is why kAuto means sparse here.
+  SolverOptions solver_options = options.solver;
+  if (solver_options.mode == SolverMode::kAuto)
+    solver_options.mode = SolverMode::kSparse;
+  SolverContext solver(solver_options);
+  if (solver_options.mode == SolverMode::kSchur)
     solver.set_partition(make_slice_partition(netlist, map));
+  TranTotals* const totals = EvalScope::tran_totals();
   PhaseTimes phases;
-  if (options.collect_phase_times) solver.set_phase_times(&phases);
+  if (options.collect_phase_times ||
+      (totals != nullptr && totals->collect_phase_times))
+    solver.set_phase_times(&phases);
+  MosKernel kernel(netlist, map);
+  kernel.set_phase_times(solver.phase_times());
+  MosKernel* const fast = kernel.size() > 0 ? &kernel : nullptr;
 
-  // Initial condition.
+  // Hands this run's share to the enclosing class scope, on success
+  // and on a ConvergenceError alike.
+  auto report = [&] {
+    if (totals == nullptr) return;
+    totals->phases += phases;
+    totals->block_refreshes += solver.schur_stats().block_refreshes;
+    totals->block_reuses += solver.schur_stats().block_reuses;
+    totals->lowrank_updates += solver.schur_stats().lowrank_updates;
+  };
+
   TranStats stats;
   stats.unknowns = map.size();
-  std::vector<double> x(map.size(), 0.0);
-  if (options.start_from_dc) {
-    DcOptions dc = options.newton;
-    dc.time = 0.0;
-    const DcResult op = dc_operating_point(netlist, map, dc, nullptr, &solver);
-    stats.newton_iterations += static_cast<std::size_t>(op.iterations);
-    x = op.x;
-  }
-  result.append(0.0, x);
+  try {
+    // Initial condition.
+    std::vector<double> x(map.size(), 0.0);
+    if (options.start_from_dc) {
+      DcOptions dc = options.newton;
+      dc.time = 0.0;
+      const DcResult op =
+          dc_operating_point(netlist, map, dc, nullptr, &solver, fast);
+      stats.newton_iterations += static_cast<std::size_t>(op.iterations);
+      x = op.x;
+    }
+    result.append(0.0, x);
 
-  TranStepper stepper(netlist, map, options, std::move(x), &solver);
-  while (!stepper.done()) {
-    stepper.step();
-    result.append(stepper.time(), stepper.state());
+    TranStepper stepper(netlist, map, options, std::move(x), &solver);
+    if (fast != nullptr)
+      fast->install(stepper.stamp_overrides(), kTransientStreamTag);
+    while (!stepper.done()) {
+      stepper.step();
+      result.append(stepper.time(), stepper.state());
+    }
+    stats.newton_iterations += stepper.newton_iterations();
+    stats.gshunt_rescues = stepper.gshunt_rescues();
+  } catch (...) {
+    report();
+    throw;
   }
-  stats.newton_iterations += stepper.newton_iterations();
-  stats.gshunt_rescues = stepper.gshunt_rescues();
+  report();
   stats.factorizations = solver.factorizations();
   stats.symbolic_analyses = solver.symbolic_analyses();
   stats.sparse = solver.sparse_active();

@@ -20,6 +20,10 @@ struct TranOptions {
   DcOptions newton;         ///< Per-step Newton settings (time is ignored).
   /// Linear-solver selection; one SolverContext is reused across all
   /// time steps, so the sparse symbolic analysis is paid once per run.
+  /// kAuto resolves to kSparse here at every system size: a transient
+  /// refactors one pattern hundreds of times, which the cached symbolic
+  /// analysis wins even below the one-shot crossover. An explicit kDense
+  /// is respected.
   SolverOptions solver;
   bool start_from_dc = true;  ///< Solve the t=0 operating point first.
   /// Backward Euler (default, strongly damped -- the right choice for
@@ -27,7 +31,7 @@ struct TranOptions {
   /// studies on smooth circuits).
   Integrator integrator = Integrator::kBackwardEuler;
   /// Collect the per-phase wall-time breakdown (TranStats::phases).
-  /// Off by default: the scalar hot loop stays clock-free.
+  /// Off by default: the hot loop stays clock-free.
   bool collect_phase_times = false;
 };
 
@@ -69,6 +73,21 @@ struct TranStats {
                : static_cast<double>(block_reuses + lowrank_updates) /
                      static_cast<double>(total);
   }
+};
+
+/// Per-class sums over every transient() run inside an EvalScope that
+/// carries this sink (see spice/resilience.hpp): the campaign's
+/// --phase-times breakdown and Schur block-factor accounting. A run
+/// adds its share when it returns and also when it throws, so failed
+/// attempts are counted too.
+struct TranTotals {
+  /// Time the phases of every run in the scope, whatever its
+  /// TranOptions::collect_phase_times says.
+  bool collect_phase_times = false;
+  PhaseTimes phases;
+  std::size_t block_refreshes = 0;
+  std::size_t block_reuses = 0;
+  std::size_t lowrank_updates = 0;
 };
 
 /// Result of a transient run; indexable by node name / source name via
@@ -118,11 +137,10 @@ class TranResult {
 
 /// Resumable core of the transient loop: one object advances a single
 /// circuit from a given t=0 state, one *accepted* time point per step()
-/// call (internal dt halving retries failed Newton solves, exactly like
-/// transient()). The batched fault-evaluation path round-robins a
-/// stepper per batch member so sibling faults advance in lockstep;
-/// transient() itself delegates here, so the two paths share one
-/// integration loop.
+/// call (internal dt halving retries failed Newton solves). transient()
+/// drives one stepper with its MosKernel installed; a stepper left with
+/// the default stamp template runs the plain Stamper walk, which is the
+/// bit-identity reference for that fast path.
 class TranStepper {
  public:
   /// `netlist`, `map` and `solver` must outlive the stepper; `x0` is
@@ -142,10 +160,10 @@ class TranStepper {
   std::size_t newton_iterations() const { return newton_iterations_; }
   std::size_t gshunt_rescues() const { return gshunt_rescues_; }
 
-  /// Stamp template used for every assembly: the batched path sets its
-  /// hook fields (mos_companions / prepare_assembly / stream_tag) here.
-  /// Per-step fields (mode, dt, time, gshunt, integrator, cap_i_prev)
-  /// are overwritten by step().
+  /// Stamp template used for every assembly: transient() installs its
+  /// MosKernel hooks (mos_companions / prepare_assembly / stream_tag /
+  /// mos_plan) here. Per-step fields (mode, dt, time, gshunt,
+  /// integrator, cap_i_prev) are overwritten by step().
   StampOptions& stamp_overrides() { return stamp_; }
 
  private:
@@ -171,8 +189,10 @@ class TranStepper {
   std::size_t gshunt_rescues_ = 0;
 };
 
-/// Runs the transient simulation. Throws util::ConvergenceError when a
-/// step cannot be completed even at dt_min.
+/// Runs the transient simulation: the t = 0 operating point (unless
+/// start_from_dc is off) and the stepping loop, both assembling through
+/// a per-run MosKernel. Throws util::ConvergenceError when a step
+/// cannot be completed even at dt_min.
 TranResult transient(const Netlist& netlist, const TranOptions& options);
 
 }  // namespace dot::spice

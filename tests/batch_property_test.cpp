@@ -1,188 +1,143 @@
-// Differential properties of the batched sibling-fault evaluation
-// path: lockstep transient batches must agree with the scalar engine on
-// DC operating points and whole waveforms to 1e-12 (they are designed
-// bit-identical; the tolerance only guards the comparison), campaigns
-// must produce identical verdicts at every batch size, and a batch
-// member hitting its evaluation budget must degrade to the scalar
-// attempt ladder without poisoning its batch-mates.
+// Campaign-level properties of the one fault-evaluation path: per-class
+// verdicts of the comparator and the 8-slice bank are identical across
+// threads {1, 4} x solver {dense, sparse}, a 2-shard split merges back
+// to the unsharded verdicts, and --phase-times reports every class
+// transient's phase split without touching the report when it is off.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstddef>
+#include <map>
 #include <string>
-#include <vector>
 
 #include "flashadc/campaign.hpp"
-#include "flashadc/comparator.hpp"
-#include "flashadc/comparator_sim.hpp"
-#include "spice/batch.hpp"
-#include "spice/netlist.hpp"
+#include "flashadc/report.hpp"
 #include "spice/solver.hpp"
-#include "spice/resilience.hpp"
-#include "spice/transient.hpp"
+#include "util/parallel.hpp"
 
 namespace dot {
 namespace {
 
-// ---------------------------------------------------------------------
-// Engine level: run_transient_batch vs the scalar transient engine.
+using flashadc::CampaignConfig;
+using flashadc::FaultOutcome;
+using flashadc::MacroCampaignResult;
 
-// Sibling variants of the comparator bench, the shape the campaign
-// batches: input-level sweeps (RHS-only differences, one pattern
-// group) plus bridge-fault variants (extra resistor, new pattern).
-std::vector<spice::Netlist> bench_variants() {
-  const auto macro = flashadc::build_comparator_netlist();
-  std::vector<spice::Netlist> variants;
-  for (const double dv : {-0.3, -0.009, 0.009, 0.3})
-    variants.push_back(flashadc::instantiate_comparator_bench(macro, dv));
-  for (const double ohms : {150.0, 2e4}) {
-    auto faulty = macro;
-    faulty.add_resistor("rbridge", "outp", "outn", ohms);
-    variants.push_back(flashadc::instantiate_comparator_bench(faulty, 0.05));
-  }
-  return variants;
-}
-
-TEST(BatchedTransient, WaveformsMatchScalarWithin1e12) {
-  const auto variants = bench_variants();
-  auto options = flashadc::comparator_tran_options();
-  // The batch engine resolves kAuto to the sparse path unconditionally;
-  // pin the scalar reference to the same path so the trajectories are
-  // comparable (they are bit-identical by design on matching paths).
-  options.solver.mode = spice::SolverMode::kSparse;
-
-  std::vector<spice::BatchJob> jobs;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    spice::BatchJob job;
-    job.netlist = &variants[i];
-    job.options = options;
-    job.scope_macro = "batch_property";
-    job.scope_class = i;
-    jobs.push_back(job);
-  }
-  const auto outcomes = spice::run_transient_batch(jobs);
-  ASSERT_EQ(outcomes.size(), variants.size());
-
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].completed) << outcomes[i].error;
-    ASSERT_TRUE(outcomes[i].converged) << outcomes[i].error;
-    const auto& batched = *outcomes[i].result;
-    const auto scalar = spice::transient(variants[i], options);
-    ASSERT_EQ(batched.steps(), scalar.steps()) << "variant " << i;
-    for (std::size_t s = 0; s < scalar.steps(); ++s) {
-      EXPECT_EQ(batched.time(s), scalar.time(s));
-      const auto& xb = batched.state(s);
-      const auto& xs = scalar.state(s);
-      ASSERT_EQ(xb.size(), xs.size());
-      for (std::size_t k = 0; k < xs.size(); ++k)
-        // Step 0 is the DC operating point (start_from_dc), so this
-        // also pins the batched DC path to the scalar one.
-        ASSERT_NEAR(xb[k], xs[k], 1e-12)
-            << "variant " << i << " step " << s << " unknown " << k;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Campaign level: identical verdicts at every batch size.
-
-flashadc::CampaignConfig small_config() {
-  flashadc::CampaignConfig config;
+CampaignConfig small_config() {
+  CampaignConfig config;
   config.defect_count = 20000;
   config.seed = 11;
   config.envelope_samples = 6;
   config.max_classes = 12;
+  config.macro_selection = "comparator";
   return config;
 }
 
-void expect_same_outcomes(const std::vector<flashadc::FaultOutcome>& a,
-                          const std::vector<flashadc::FaultOutcome>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].voltage, b[i].voltage) << what << " class " << i;
-    EXPECT_EQ(a[i].current.ivdd, b[i].current.ivdd) << what << " class " << i;
-    EXPECT_EQ(a[i].current.iddq, b[i].current.iddq) << what << " class " << i;
-    EXPECT_EQ(a[i].current.iinput, b[i].current.iinput)
-        << what << " class " << i;
-    EXPECT_EQ(a[i].detection.detected(), b[i].detection.detected())
-        << what << " class " << i;
-    EXPECT_EQ(a[i].status, b[i].status) << what << " class " << i;
-  }
+/// One single-macro campaign on a pool of `threads`.
+MacroCampaignResult run_macro(const CampaignConfig& config, unsigned threads) {
+  util::ThreadPool::set_global_thread_count(threads);
+  struct Restore {
+    ~Restore() { util::ThreadPool::set_global_thread_count(0); }
+  } restore;
+  return flashadc::run_campaign(config).macros.front();
 }
 
-TEST(BatchedCampaign, ComparatorVerdictsIdenticalAcrossBatchSizes) {
-  auto config = small_config();
-  config.batch = 1;
-  const auto scalar = flashadc::run_comparator_campaign(config);
-  EXPECT_EQ(scalar.batch_evaluated, 0u);
-  for (const std::size_t batch : {std::size_t{4}, std::size_t{16}}) {
-    config.batch = batch;
-    const auto batched = flashadc::run_comparator_campaign(config);
-    EXPECT_GT(batched.batch_evaluated, 0u) << "batch " << batch;
-    expect_same_outcomes(scalar.catastrophic, batched.catastrophic,
-                         "catastrophic b" + std::to_string(batch));
-    expect_same_outcomes(scalar.noncatastrophic, batched.noncatastrophic,
-                         "noncat b" + std::to_string(batch));
-    EXPECT_EQ(scalar.coverage(false), batched.coverage(false));
-    EXPECT_EQ(scalar.coverage(true), batched.coverage(true));
-  }
+/// Stable identity of an evaluated (class, pass) pair.
+std::string class_key(const FaultOutcome& o) {
+  std::string key = fault::fault_kind_name(o.cls.representative.kind);
+  for (const auto& net : o.cls.representative.nets) key += '|' + net;
+  key += '|' + o.cls.representative.device;
+  key += o.non_catastrophic ? "|noncat" : "|cat";
+  return key;
 }
 
-TEST(BatchedCampaign, BankVerdictsIdenticalScalarVsBatched) {
+/// Everything the coverage compilation consumes, rendered for equality.
+std::string verdict_of(const FaultOutcome& o) {
+  std::string v = macro::voltage_signature_name(o.voltage);
+  for (const bool flag :
+       {o.current.ivdd, o.current.iddq, o.current.iinput,
+        o.detection.missing_code, o.detection.ivdd, o.detection.iddq,
+        o.detection.iinput, o.status == flashadc::EvalStatus::kUnresolved})
+    v += flag ? "|1" : "|0";
+  return v + "|attempts=" + std::to_string(o.attempts);
+}
+
+using VerdictMap = std::map<std::string, std::string>;
+
+void collect(const MacroCampaignResult& r, VerdictMap& out) {
+  for (const auto& o : r.catastrophic) out[class_key(o)] = verdict_of(o);
+  for (const auto& o : r.noncatastrophic) out[class_key(o)] = verdict_of(o);
+}
+
+/// The verdict-equality and 2-shard-merge conditions over the thread x
+/// solver grid, against a 1-thread dense reference.
+void expect_verdicts_stable(CampaignConfig config) {
+  config.solver.mode = spice::SolverMode::kDense;
+  VerdictMap reference;
+  collect(run_macro(config, 1), reference);
+  ASSERT_FALSE(reference.empty());
+  for (const auto mode : {spice::SolverMode::kDense, spice::SolverMode::kSparse})
+    for (const unsigned threads : {1u, 4u}) {
+      if (mode == spice::SolverMode::kDense && threads == 1) continue;
+      config.solver.mode = mode;
+      VerdictMap got;
+      collect(run_macro(config, threads), got);
+      EXPECT_EQ(got, reference) << spice::solver_mode_name(mode) << " x "
+                                << threads << " threads";
+    }
+
+  config.solver.mode = spice::SolverMode::kSparse;
+  config.resilience.shard_count = 2;
+  VerdictMap merged;
+  for (const std::size_t shard : {0u, 1u}) {
+    config.resilience.shard_index = shard;
+    collect(run_macro(config, 4), merged);
+  }
+  EXPECT_EQ(merged, reference) << "2-shard merge";
+}
+
+TEST(CampaignVerdicts, ComparatorIdenticalAcrossThreadsAndSolvers) {
+  expect_verdicts_stable(small_config());
+}
+
+TEST(CampaignVerdicts, Bank8IdenticalAcrossThreadsAndSolvers) {
   auto config = small_config();
   config.macro_selection = "bank";
-  config.bank_size = 4;
-  config.max_classes = 6;
-  config.batch = 1;
-  const auto scalar = flashadc::run_bank_campaign(config);
-  config.batch = 4;
-  const auto batched = flashadc::run_bank_campaign(config);
-  EXPECT_GT(batched.batch_evaluated, 0u);
-  expect_same_outcomes(scalar.catastrophic, batched.catastrophic, "bank cat");
-  expect_same_outcomes(scalar.noncatastrophic, batched.noncatastrophic,
-                       "bank noncat");
+  config.bank_size = 8;
+  config.max_classes = 4;
+  expect_verdicts_stable(config);
 }
 
-// ---------------------------------------------------------------------
-// Degradation: a member hitting the evaluation budget is evicted from
-// the batch and re-runs through the unchanged scalar attempt ladder.
-
-struct PlanGuard {
-  explicit PlanGuard(spice::InjectionPlan plan) {
-    spice::set_injection_plan(std::move(plan));
-  }
-  ~PlanGuard() { spice::clear_injection_plan(); }
-};
-
-TEST(BatchedCampaign, EvictedMemberDegradesWithoutPoisoningBatch) {
+// --phase-times sums every class transient's phase split into the
+// macro result. The solver knob reaches those transients: kAuto runs
+// them sparse (symbolic analyses), kDense never analyzes.
+TEST(CampaignPhaseTimes, NonzeroWithFlagAndFollowSolver) {
   auto config = small_config();
-  config.batch = 8;
-  config.resilience.max_retries = 1;  // 2 attempts total
-  spice::InjectionPlan plan;
-  plan.mode = spice::InjectionPlan::Mode::kTimeout;
-  plan.macro = "comparator";
-  plan.class_indices = {0};
-  PlanGuard guard(std::move(plan));
+  config.max_classes = 3;
+  config.collect_phase_times = true;
+  const auto automatic = run_macro(config, 2);
+  const spice::PhaseTimes& p = automatic.phase_times;
+  EXPECT_GT(p.device_eval_seconds, 0.0);
+  EXPECT_GT(p.assembly_seconds, 0.0);
+  EXPECT_GT(p.factor_seconds, 0.0);
+  EXPECT_GT(p.factor_symbolic_seconds, 0.0);
+  EXPECT_GT(p.factor_numeric_seconds, 0.0);
+  EXPECT_GT(p.solve_seconds, 0.0);
 
-  const auto r = flashadc::run_comparator_campaign(config);
-  ASSERT_FALSE(r.catastrophic.empty());
-  // The sabotaged class left the batch, spent its scalar retry budget
-  // and was recorded unresolved -- exactly the scalar path's handling.
-  const auto& sabotaged = r.catastrophic[0];
-  EXPECT_EQ(sabotaged.status, flashadc::EvalStatus::kUnresolved);
-  EXPECT_EQ(sabotaged.attempts, 2);
-  // Its batch-mates resolved normally on the first attempt.
-  for (std::size_t i = 1; i < r.catastrophic.size(); ++i) {
-    EXPECT_EQ(r.catastrophic[i].status, flashadc::EvalStatus::kOk)
-        << "class " << i;
-    EXPECT_EQ(r.catastrophic[i].attempts, 1) << "class " << i;
-  }
-  // The plan keys on the class index, which the noncatastrophic list
-  // shares: its class 0 degrades the same way, the rest stay clean.
-  for (std::size_t i = 1; i < r.noncatastrophic.size(); ++i)
-    EXPECT_EQ(r.noncatastrophic[i].status, flashadc::EvalStatus::kOk)
-        << "noncat class " << i;
+  config.solver.mode = spice::SolverMode::kDense;
+  const auto dense = run_macro(config, 2);
+  EXPECT_GT(dense.phase_times.factor_numeric_seconds, 0.0);
+  EXPECT_EQ(dense.phase_times.factor_symbolic_seconds, 0.0);
+}
+
+// Without the flag the report carries no wall times and stays
+// byte-identical across thread counts.
+TEST(CampaignPhaseTimes, ReportWithoutFlagByteIdenticalAcrossThreads) {
+  auto config = small_config();
+  config.max_classes = 6;
+  const auto one = run_macro(config, 1);
+  const auto four = run_macro(config, 4);
+  EXPECT_EQ(one.phase_times.total_seconds(), 0.0);
+  const std::string report = flashadc::to_json(one);
+  EXPECT_EQ(report.find("phase_times"), std::string::npos);
+  EXPECT_EQ(report, flashadc::to_json(four));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Batched sibling-fault evaluation building blocks: the SoA level-1
-// MOSFET kernel, the multi-RHS triangular solve, the trusted-stream
-// assembler fast path and the precompiled MOSFET stamp plan. Every case
-// here asserts *bit* identity against the scalar code path it replaces
-// -- the batched campaign's verdict-equality guarantee rests on these.
+// Building blocks of the transient engine's fast path: the SoA level-1
+// MOSFET kernel, the trusted-stream assembler, the precompiled MOSFET
+// stamp plan and branch_at, plus the multi-RHS triangular solve. Every
+// case here asserts *bit* identity against the plain code path it
+// replaces -- the campaign verdicts rest on these -- and the last cases
+// pin the whole fast path as transient() runs it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +14,11 @@
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
 #include "numeric/sparse.hpp"
+#include "spice/dc.hpp"
 #include "spice/devices.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
+#include "spice/transient.hpp"
 
 namespace dot {
 namespace {
@@ -208,8 +211,8 @@ TEST(MosStampPlan, AssembliesBitIdenticalToStamperWalk) {
   EXPECT_EQ(plan.b_ptr.size(), n_mos + 1);
   EXPECT_EQ(plan.tag, 7u);
 
-  // A stream-tag change (the DC -> transient hand-off in the batch
-  // engine) invalidates and recaptures the plan on the new stream.
+  // A stream-tag change (the DC -> transient hand-off in transient())
+  // invalidates and recaptures the plan on the new stream.
   with_plan.mode = spice::AnalysisMode::kTransient;
   with_plan.dt = 1e-9;
   with_plan.stream_tag = 8;
@@ -225,6 +228,88 @@ TEST(MosStampPlan, AssembliesBitIdenticalToStamperWalk) {
     EXPECT_EQ(b_plan, b_ref) << "round " << round;
   }
   EXPECT_EQ(plan.tag, 8u);
+}
+
+// ---------------------------------------------------------------------
+// transient(): the fast path as the campaign runs it.
+
+// A comparator bench with a bridge fault, the shape of a campaign
+// class evaluation.
+spice::Netlist faulted_comparator_bench() {
+  auto macro = flashadc::build_comparator_netlist();
+  macro.add_resistor("rbridge", "outp", "outn", 2e4);
+  return flashadc::instantiate_comparator_bench(macro, 0.009);
+}
+
+// Every accepted step of a faulted comparator transient, re-assembled
+// through a MosKernel on the trusted transient stream, matches a
+// hook-free assemble_mna bit for bit; and the whole waveform matches a
+// hook-free DC + TranStepper run of the same options.
+TEST(FastPathTransient, AssembliesAndWaveformBitIdenticalToHookFree) {
+  const auto bench = faulted_comparator_bench();
+  auto options = flashadc::comparator_tran_options();
+  options.solver.mode = spice::SolverMode::kSparse;
+  const auto fast = spice::transient(bench, options);
+  ASSERT_GT(fast.steps(), 2u);
+
+  const spice::MnaMap map(bench);
+  spice::MosKernel kernel(bench, map);
+  ASSERT_GT(kernel.size(), 0u);
+  spice::StampOptions plain;
+  plain.mode = spice::AnalysisMode::kTransient;
+  spice::StampOptions hooked = plain;
+  kernel.install(hooked, spice::kTransientStreamTag);
+  numeric::SparseAssembler a_fast;
+  numeric::SparseAssembler a_ref;
+  std::vector<double> b_fast;
+  std::vector<double> b_ref;
+  for (std::size_t s = 1; s < fast.steps(); ++s) {
+    for (spice::StampOptions* stamp : {&plain, &hooked}) {
+      stamp->time = fast.time(s);
+      stamp->dt = fast.time(s) - fast.time(s - 1);
+    }
+    spice::assemble_mna(bench, map, fast.state(s), fast.state(s - 1), hooked,
+                        a_fast, b_fast);
+    spice::assemble_mna(bench, map, fast.state(s), fast.state(s - 1), plain,
+                        a_ref, b_ref);
+    ASSERT_EQ(a_fast.values(), a_ref.values()) << "step " << s;
+    ASSERT_EQ(b_fast, b_ref) << "step " << s;
+  }
+  EXPECT_TRUE(a_fast.fast_path_used());
+  EXPECT_FALSE(a_ref.fast_path_used());
+
+  spice::SolverContext ctx(options.solver);
+  spice::DcOptions dc = options.newton;
+  dc.time = 0.0;
+  const auto op = spice::dc_operating_point(bench, map, dc, nullptr, &ctx);
+  EXPECT_EQ(fast.state(0), op.x);
+  spice::TranStepper stepper(bench, map, options, op.x, &ctx);
+  std::size_t s = 0;
+  while (!stepper.done()) {
+    stepper.step();
+    ++s;
+    ASSERT_LT(s, fast.steps());
+    EXPECT_EQ(fast.time(s), stepper.time());
+    ASSERT_EQ(fast.state(s), stepper.state()) << "step " << s;
+  }
+  EXPECT_EQ(s + 1, fast.steps());
+}
+
+// kAuto runs every transient sparse, even the 39-unknown comparator
+// bench below the one-shot crossover; an explicit kDense is respected.
+TEST(FastPathTransient, AutoRunsSparseDenseIsRespected) {
+  const auto bench = faulted_comparator_bench();
+  auto options = flashadc::comparator_tran_options();
+  ASSERT_EQ(options.solver.mode, spice::SolverMode::kAuto);
+  const auto automatic = spice::transient(bench, options);
+  EXPECT_LT(automatic.stats().unknowns, options.solver.sparse_threshold);
+  EXPECT_TRUE(automatic.stats().sparse);
+  EXPECT_GT(automatic.stats().symbolic_analyses, 0u);
+
+  options.solver.mode = spice::SolverMode::kDense;
+  const auto dense = spice::transient(bench, options);
+  EXPECT_FALSE(dense.stats().sparse);
+  EXPECT_EQ(dense.stats().symbolic_analyses, 0u);
 }
 
 }  // namespace
