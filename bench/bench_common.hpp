@@ -9,7 +9,6 @@
 //   --seed=N       master seed
 //   --threads=N    worker threads (default: hardware concurrency)
 //   --solver=M     linear solver: auto (default) | dense | sparse
-//   --shamanskii=N Newton iterations per numeric refactor (default 1)
 //   --class-timeout-ms=T  wall-clock budget per fault-class attempt
 //                  (0 = unlimited, the default); expired classes are
 //                  retried under escalating solver aid and reported
@@ -26,8 +25,10 @@
 //                  size list)
 //
 // Unknown flags are rejected with a usage message (a typo'd --defect=
-// must not silently run the 500k default). Results are bit-identical at
-// any --threads value; the knob only changes wall time.
+// must not silently run the 500k default), and so are malformed numbers
+// (--defects=abc, --envelope=-3): the shared knobs are parsed by the
+// examples' checked parser (examples/campaign_args.hpp). Results are
+// bit-identical at any --threads value; the knob only changes wall time.
 //
 // JSON reports follow the "dot-bench-v1" schema: every file carries
 // {"schema": "dot-bench-v1", "bench": <name>, "wall_seconds", "threads",
@@ -38,10 +39,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "campaign_args.hpp"
 #include "flashadc/campaign.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -58,8 +59,8 @@ struct BenchArgs {
   static void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--defects=N] [--envelope=N] [--classes=N] "
-                 "[--seed=N] [--threads=N] [--solver=auto|dense|sparse|schur] "
-                 "[--shamanskii=N] [--class-timeout-ms=T] [--max-retries=N] "
+                 "[--seed=N] [--threads=N] [--solver=auto|dense|sparse] "
+                 "[--class-timeout-ms=T] [--max-retries=N] "
                  "[--phase-times] "
                  "[--json=FILE] [--json-root] [--quick] [--smoke]\n",
                  argv0);
@@ -86,44 +87,16 @@ struct BenchArgs {
     unsigned threads = 0;  // 0 = hardware_concurrency
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto value = [&](const char* prefix) -> const char* {
-        const std::size_t n = std::strlen(prefix);
-        return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-      };
-      if (const char* v = value("--defects=")) {
-        args.config.defect_count = std::strtoull(v, nullptr, 10);
-      } else if (const char* v = value("--envelope=")) {
-        args.config.envelope_samples = std::atoi(v);
-      } else if (const char* v = value("--classes=")) {
-        args.config.max_classes = std::strtoull(v, nullptr, 10);
-      } else if (const char* v = value("--seed=")) {
-        args.config.seed = std::strtoull(v, nullptr, 10);
-      } else if (const char* v = value("--threads=")) {
-        threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      } else if (const char* v = value("--solver=")) {
-        try {
-          args.config.solver.mode = spice::parse_solver_mode(v);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      switch (examples::parse_common_arg(argv[0], arg, args.config, threads)) {
+        case examples::ArgParse::kConsumed:
+          continue;
+        case examples::ArgParse::kBad:
           usage(argv[0]);
           std::exit(2);
-        }
-      } else if (const char* v = value("--shamanskii=")) {
-        args.config.solver.shamanskii_depth = std::atoi(v);
-      } else if (const char* v = value("--class-timeout-ms=")) {
-        args.config.resilience.class_timeout_ms = std::atof(v);
-      } else if (const char* v = value("--max-retries=")) {
-        args.config.resilience.max_retries = std::atoi(v);
-      } else if (value("--batch") != nullptr) {
-        std::fprintf(stderr,
-                     "%s: --batch was removed; every fault class runs on "
-                     "the one transient path\n",
-                     argv[0]);
-        usage(argv[0]);
-        std::exit(2);
-      } else if (arg == "--phase-times") {
-        args.config.collect_phase_times = true;
-      } else if (const char* v = value("--json=")) {
+        case examples::ArgParse::kUnknown:
+          break;
+      }
+      if (const char* v = examples::arg_value(arg, "--json=")) {
         args.json_path = v;
       } else if (arg == "--json-root") {
         args.json_path = "BENCH_" + args.bench + ".json";

@@ -29,9 +29,7 @@
 //                         must divide 256 and be a multiple of 4;
 //                         default 256)
 //   --solver=MODE         linear solver for every simulation: auto |
-//                         dense | sparse | schur (default auto; schur
-//                         is the block-arrowhead path built for the
-//                         bank/chip macros)
+//                         dense | sparse (default auto)
 //   --equivalence         with --macro=bank or --macro=chip: diff the
 //                         flat result against the per-comparator
 //                         decomposition
@@ -88,22 +86,22 @@ int main(int argc, char** argv) {
       case examples::ArgParse::kUnknown:
         break;
     }
-    if (const char* v = examples::arg_value(arg, "--shards=")) {
-      config.resilience.shard_count = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = examples::arg_value(arg, "--shard=")) {
-      config.resilience.shard_index = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = examples::arg_value(arg, "--journal=")) {
+    examples::ArgParse r = examples::parse_whole_arg(
+        argv[0], arg, "--shards", 1, 1000000, config.resilience.shard_count);
+    if (r == examples::ArgParse::kUnknown)
+      r = examples::parse_whole_arg(argv[0], arg, "--shard", 0, 999999,
+                                    config.resilience.shard_index);
+    if (r == examples::ArgParse::kUnknown)
+      r = examples::parse_whole_arg(argv[0], arg, "--journal-sync", 1,
+                                    1000000,
+                                    config.resilience.checkpoint_block);
+    if (r == examples::ArgParse::kBad) {
+      usage(argv[0]);
+      return 2;
+    }
+    if (r == examples::ArgParse::kConsumed) continue;
+    if (const char* v = examples::arg_value(arg, "--journal=")) {
       config.resilience.journal_path = v;
-    } else if (const char* v = examples::arg_value(arg, "--journal-sync=")) {
-      char* end = nullptr;
-      const long sync = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || sync < 1) {
-        std::fprintf(stderr, "%s: bad --journal-sync value '%s'\n", argv[0],
-                     v);
-        usage(argv[0]);
-        return 2;
-      }
-      config.resilience.checkpoint_block = static_cast<std::size_t>(sync);
     } else if (arg == "--resume") {
       config.resilience.resume = true;
     } else if (arg == "--equivalence") {

@@ -1,4 +1,5 @@
-// Shared campaign-knob parsing for the example CLIs.
+// Shared campaign-knob parsing for the example CLIs and the bench
+// harnesses (bench/bench_common.hpp uses parse_common_arg).
 //
 // The dispatch tools (dispatch_daemon / dispatch_worker) must agree
 // with adc_coverage on every knob that shapes the campaign identity --
@@ -8,6 +9,8 @@
 // same flags as the daemon passes the handshake interlock.
 #pragma once
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +34,90 @@ enum class ArgParse {
   kBad,       ///< Recognized but malformed (diagnostic already printed).
 };
 
+/// Numeric knob "<name>=<value>": kUnknown when `arg` is another flag.
+/// Otherwise the value must be a whole decimal number in [lo, hi] --
+/// digits only, no sign, space, fraction or overflow. A good value is
+/// stored in `out` (kConsumed); a bad one leaves `out` untouched and
+/// prints "<argv0>: bad <name> value '<value>' (expected a whole number
+/// in lo..hi)" (kBad). Every numeric knob of every campaign CLI and
+/// bench goes through here, so garbage never runs as a 0.
+template <typename T>
+ArgParse parse_whole_arg(const char* argv0, const std::string& arg,
+                         const char* name, std::uint64_t lo, std::uint64_t hi,
+                         T& out) {
+  const std::size_t n = std::strlen(name);
+  if (arg.compare(0, n, name) != 0 || arg.size() == n || arg[n] != '=')
+    return ArgParse::kUnknown;
+  const char* v = arg.c_str() + n + 1;
+  bool ok = *v >= '0' && *v <= '9';
+  std::uint64_t value = 0;
+  if (ok) {
+    char* end = nullptr;
+    errno = 0;
+    value = std::strtoull(v, &end, 10);
+    ok = *end == '\0' && errno == 0 && value >= lo && value <= hi;
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "%s: bad %s value '%s' (expected a whole number in "
+                 "%llu..%llu)\n",
+                 argv0, name, v, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return ArgParse::kBad;
+  }
+  out = static_cast<T>(value);
+  return ArgParse::kConsumed;
+}
+
+/// Upper bound of the count knobs (--defects, --classes): far past any
+/// campaign that fits in memory, low enough that a typo'd extra digit
+/// block is caught.
+inline constexpr std::uint64_t kMaxCountArg = 1000000000;
+
+/// The knobs every campaign CLI and every bench harness shares: the
+/// numeric budgets, --threads (into `threads`; 0 = hardware
+/// concurrency), --solver and --phase-times. The removed --batch is
+/// rejected here with a diagnostic.
+inline ArgParse parse_common_arg(const char* argv0, const std::string& arg,
+                                 flashadc::CampaignConfig& config,
+                                 unsigned& threads) {
+  ArgParse r = ArgParse::kUnknown;
+  auto whole = [&](const char* name, std::uint64_t lo, std::uint64_t hi,
+                   auto& out) {
+    if (r == ArgParse::kUnknown)
+      r = parse_whole_arg(argv0, arg, name, lo, hi, out);
+  };
+  whole("--defects", 1, kMaxCountArg, config.defect_count);
+  whole("--envelope", 1, 100000, config.envelope_samples);
+  whole("--classes", 0, kMaxCountArg, config.max_classes);  // 0 = all
+  whole("--seed", 0, UINT64_MAX, config.seed);
+  whole("--threads", 0, 1024, threads);
+  whole("--class-timeout-ms", 0, 86400000,  // 0 = unlimited; max one day
+        config.resilience.class_timeout_ms);
+  whole("--max-retries", 0, 100, config.resilience.max_retries);
+  if (r != ArgParse::kUnknown) return r;
+
+  if (const char* v = arg_value(arg, "--solver=")) {
+    try {
+      config.solver.mode = spice::parse_solver_mode(v);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+      return ArgParse::kBad;
+    }
+  } else if (arg_value(arg, "--batch") != nullptr) {
+    std::fprintf(stderr,
+                 "%s: --batch was removed; every fault class runs on the "
+                 "one transient path\n",
+                 argv0);
+    return ArgParse::kBad;
+  } else if (arg == "--phase-times") {
+    config.collect_phase_times = true;
+  } else {
+    return ArgParse::kUnknown;
+  }
+  return ArgParse::kConsumed;
+}
+
 /// The usage fragment for the shared knobs (one indented line each).
 inline const char* campaign_usage() {
   return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
@@ -40,61 +127,23 @@ inline const char* campaign_usage() {
          "          [--quick] [--smoke]\n";
 }
 
-/// Offers `arg` to the shared campaign-knob parser. `threads` receives
-/// --threads (0 = hardware concurrency). On kBad a diagnostic naming
-/// `argv0` was already printed to stderr.
+/// Offers `arg` to the shared campaign-knob parser: parse_common_arg
+/// plus the macro selection and geometry and the example presets.
+/// `threads` receives --threads (0 = hardware concurrency). On kBad a
+/// diagnostic naming `argv0` was already printed to stderr.
 inline ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
                                    flashadc::CampaignConfig& config,
                                    unsigned& threads) {
-  if (const char* v = arg_value(arg, "--defects=")) {
-    config.defect_count = std::strtoull(v, nullptr, 10);
-  } else if (const char* v = arg_value(arg, "--envelope=")) {
-    config.envelope_samples = std::atoi(v);
-  } else if (const char* v = arg_value(arg, "--classes=")) {
-    config.max_classes = std::strtoull(v, nullptr, 10);
-  } else if (const char* v = arg_value(arg, "--seed=")) {
-    config.seed = std::strtoull(v, nullptr, 10);
-  } else if (const char* v = arg_value(arg, "--threads=")) {
-    threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  } else if (const char* v = arg_value(arg, "--class-timeout-ms=")) {
-    config.resilience.class_timeout_ms = std::atof(v);
-  } else if (const char* v = arg_value(arg, "--max-retries=")) {
-    config.resilience.max_retries = std::atoi(v);
-  } else if (arg_value(arg, "--batch") != nullptr) {
-    std::fprintf(stderr,
-                 "%s: --batch was removed; every fault class runs on the "
-                 "one transient path\n",
-                 argv0);
-    return ArgParse::kBad;
-  } else if (arg == "--phase-times") {
-    config.collect_phase_times = true;
-  } else if (const char* v = arg_value(arg, "--macro=")) {
+  ArgParse r = parse_common_arg(argv0, arg, config, threads);
+  if (r == ArgParse::kUnknown)
+    r = parse_whole_arg(argv0, arg, "--bank-size", 2, 256, config.bank_size);
+  if (r == ArgParse::kUnknown)
+    r = parse_whole_arg(argv0, arg, "--chip-slices", 4, 256,
+                        config.chip_slices);
+  if (r != ArgParse::kUnknown) return r;
+
+  if (const char* v = arg_value(arg, "--macro=")) {
     config.macro_selection = v;
-  } else if (const char* v = arg_value(arg, "--bank-size=")) {
-    // Strict whole-number parse: atoi would silently turn garbage
-    // into 0 and surface as a confusing bank-size error much later.
-    char* end = nullptr;
-    const long size = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || size < 2 || size > 256) {
-      std::fprintf(stderr, "%s: bad --bank-size value '%s'\n", argv0, v);
-      return ArgParse::kBad;
-    }
-    config.bank_size = static_cast<int>(size);
-  } else if (const char* v = arg_value(arg, "--chip-slices=")) {
-    char* end = nullptr;
-    const long slices = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || slices < 4 || slices > 256) {
-      std::fprintf(stderr, "%s: bad --chip-slices value '%s'\n", argv0, v);
-      return ArgParse::kBad;
-    }
-    config.chip_slices = static_cast<int>(slices);
-  } else if (const char* v = arg_value(arg, "--solver=")) {
-    try {
-      config.solver.mode = spice::parse_solver_mode(v);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-      return ArgParse::kBad;
-    }
   } else if (arg == "--quick") {
     config.defect_count = 50000;
     config.envelope_samples = 8;

@@ -101,6 +101,16 @@ int main(int argc, char** argv) {
   double timeout_ms = 5000.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    examples::ArgParse r = examples::parse_whole_arg(
+        argv[0], arg, "--interval-ms", 1, 3600000, interval_ms);
+    if (r == examples::ArgParse::kUnknown)
+      r = examples::parse_whole_arg(argv[0], arg, "--timeout-ms", 1, 3600000,
+                                    timeout_ms);
+    if (r == examples::ArgParse::kBad) {
+      usage(argv[0]);
+      return 2;
+    }
+    if (r == examples::ArgParse::kConsumed) continue;
     if (const char* v = examples::arg_value(arg, "--connect=")) {
       if (!examples::parse_endpoint(argv[0], v, host, port)) {
         usage(argv[0]);
@@ -108,10 +118,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--wait") {
       wait = true;
-    } else if (const char* v = examples::arg_value(arg, "--interval-ms=")) {
-      interval_ms = std::atof(v);
-    } else if (const char* v = examples::arg_value(arg, "--timeout-ms=")) {
-      timeout_ms = std::atof(v);
     } else if (arg == "--help") {
       usage(argv[0]);
       return 0;

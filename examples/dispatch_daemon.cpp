@@ -77,41 +77,32 @@ int main(int argc, char** argv) {
       case examples::ArgParse::kUnknown:
         break;
     }
-    if (const char* v = examples::arg_value(arg, "--shards=")) {
-      dconfig.shard_count = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = examples::arg_value(arg, "--journal=")) {
+    examples::ArgParse r = examples::ArgParse::kUnknown;
+    auto whole = [&](const char* name, std::uint64_t lo, std::uint64_t hi,
+                     auto& out) {
+      if (r == examples::ArgParse::kUnknown)
+        r = examples::parse_whole_arg(argv[0], arg, name, lo, hi, out);
+    };
+    whole("--shards", 1, 1000000, dconfig.shard_count);
+    whole("--journal-sync", 1, 1000000, dconfig.journal_sync);
+    whole("--port", 0, 65535, port);
+    whole("--heartbeat-ms", 1, 3600000, dconfig.heartbeat_ms);
+    whole("--heartbeat-timeout-ms", 0, 86400000,  // 0 = 4x heartbeat
+          dconfig.heartbeat_timeout_ms);
+    whole("--max-reissues", 0, 1000, dconfig.max_reissues);
+    if (r == examples::ArgParse::kBad) {
+      usage(argv[0]);
+      return 2;
+    }
+    if (r == examples::ArgParse::kConsumed) continue;
+    if (const char* v = examples::arg_value(arg, "--journal=")) {
       dconfig.journal_path = v;
-    } else if (const char* v = examples::arg_value(arg, "--journal-sync=")) {
-      char* end = nullptr;
-      const long sync = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || sync < 1) {
-        std::fprintf(stderr, "%s: bad --journal-sync value '%s'\n", argv[0],
-                     v);
-        usage(argv[0]);
-        return 2;
-      }
-      dconfig.journal_sync = static_cast<std::size_t>(sync);
     } else if (arg == "--resume") {
       dconfig.resume = true;
-    } else if (const char* v = examples::arg_value(arg, "--port=")) {
-      char* end = nullptr;
-      port = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "%s: bad --port value '%s'\n", argv[0], v);
-        usage(argv[0]);
-        return 2;
-      }
     } else if (const char* v = examples::arg_value(arg, "--port-file=")) {
       port_file = v;
     } else if (arg == "--listen") {
       any_interface = true;
-    } else if (const char* v = examples::arg_value(arg, "--heartbeat-ms=")) {
-      dconfig.heartbeat_ms = std::atof(v);
-    } else if (const char* v =
-                   examples::arg_value(arg, "--heartbeat-timeout-ms=")) {
-      dconfig.heartbeat_timeout_ms = std::atof(v);
-    } else if (const char* v = examples::arg_value(arg, "--max-reissues=")) {
-      dconfig.max_reissues = std::atoi(v);
     } else if (const char* v = examples::arg_value(arg, "--report=")) {
       report_path = v;
     } else if (arg == "--help") {

@@ -70,16 +70,13 @@ int main(int argc, char** argv) {
       }
     } else if (const char* v = examples::arg_value(arg, "--journal-dir=")) {
       journal_dir = v;
-    } else if (const char* v = examples::arg_value(arg, "--journal-sync=")) {
-      char* end = nullptr;
-      const long sync = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || sync < 1) {
-        std::fprintf(stderr, "%s: bad --journal-sync value '%s'\n", argv[0],
-                     v);
+    } else if (examples::arg_value(arg, "--journal-sync=") != nullptr) {
+      if (examples::parse_whole_arg(argv[0], arg, "--journal-sync", 1,
+                                    1000000, journal_sync) ==
+          examples::ArgParse::kBad) {
         usage(argv[0]);
         return 2;
       }
-      journal_sync = static_cast<std::size_t>(sync);
     } else if (arg == "--help") {
       usage(argv[0]);
       return 0;

@@ -150,8 +150,8 @@ FaultModelOptions model_options(const CampaignConfig& config,
 ///     structured kUnresolved outcome instead of aborting the campaign.
 ///
 /// The same EvalScope carries a spice::TranTotals sink, so the phase
-/// times (--phase-times) and Schur block counters of every transient a
-/// class runs are summed into the result in class order.
+/// times (--phase-times) of every transient a class runs are summed
+/// into the result in class order.
 template <typename Evaluate>
 void evaluate_classes(const Netlist& good,
                       const std::vector<FaultClass>& classes,
@@ -255,9 +255,6 @@ void evaluate_classes(const Netlist& good,
     if (eval.cat) result.catastrophic.push_back(std::move(*eval.cat));
     if (eval.noncat) result.noncatastrophic.push_back(std::move(*eval.noncat));
     result.phase_times += eval.totals.phases;
-    result.block_refreshes += eval.totals.block_refreshes;
-    result.block_reuses += eval.totals.block_reuses;
-    result.lowrank_updates += eval.totals.lowrank_updates;
   }
 }
 

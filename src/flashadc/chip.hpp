@@ -10,7 +10,8 @@
 // chip campaign produces the first coverage number with no
 // decomposition assumptions at all.
 //
-// Naming (this is what the Schur partition builder keys on):
+// Naming (the bank slice mapper projects the comparator slices; the
+// support-macro prefixes keep their nets out of every slice):
 //  - comparator slice k: nets "s<k>_*", devices "S<k>_*" (bank rules);
 //  - decoder slice j:    nets "dec<j>_*", devices "DEC<j>_*";
 //  - clock generator:    nets "ckg_*", devices "CKG_*";
@@ -49,8 +50,7 @@ struct ChipOptions {
   int slices = 256;
   ComparatorDft dft;
   /// Linear-solver selection for every chip transient (run_chip_bench
-  /// and everything layered on it). The chip is sized for kSchur; the
-  /// flat solvers remain available as the equivalence baseline.
+  /// and everything layered on it).
   spice::SolverOptions solver;
 };
 

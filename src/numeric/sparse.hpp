@@ -195,12 +195,6 @@ class SparseFactorsT {
   /// util::ConvergenceError when no valid factorization is held.
   void solve_into(const std::vector<Scalar>& b, std::vector<Scalar>& x);
 
-  /// Multi-RHS solve: one triangular sweep per right-hand side over the
-  /// shared factors. Each column's arithmetic is exactly solve_into's,
-  /// so result k is bit-identical to an individual solve of rhs[k].
-  void solve_multi(const std::vector<const std::vector<Scalar>*>& rhs,
-                   std::vector<std::vector<Scalar>>& x);
-
  private:
   std::shared_ptr<const SparseSymbolic> symbolic_;
   std::vector<Scalar> l_vals_, u_vals_, udiag_;

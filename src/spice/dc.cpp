@@ -35,46 +35,16 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
   SolverContext local_solver;
   SolverContext& ctx = solver != nullptr ? *solver : local_solver;
   const bool sparse_path = ctx.use_sparse(n);
-  // The Schur path diffs assembled values per block to decide what to
-  // refactor, which requires seeing every iteration's values: force
-  // classic Newton and let the block solver do its own (finer-grained,
-  // still exact) factor reuse.
-  const int depth =
-      ctx.schur_enabled() ? 1 : std::max(1, ctx.options().shamanskii_depth);
 
   std::vector<double> b;
   std::vector<double> x_new;
   double best_max_dv = std::numeric_limits<double>::infinity();
   std::vector<double> best_x;
-  // Shamanskii reuse state: iterations solved since the factors were
-  // last refreshed. Only the sparse path skips factorizations -- dense
-  // assembly writes into the factor workspace, so its factors cannot
-  // outlive an assembly.
-  int since_factor = 0;
-  bool have_factors = false;
-  bool force_fresh = true;
-  // A frozen Jacobian is only trustworthy near the iterate it was
-  // factored at: device models switch regions over ~100 mV, so once
-  // the iterate drifts further than that the stale solve mixes a fresh
-  // RHS with an off-region linearization and can cycle without
-  // converging (seen on from-zero transient steps, where nodes slew
-  // rail to rail). Near a fixed point -- the campaign's warm-started
-  // re-solves, where reuse pays -- drift stays below vtol and the
-  // guard never fires.
-  constexpr double kStaleDriftV = 0.1;
-  std::vector<double> x_at_factor;
-  double prev_max_dv = std::numeric_limits<double>::infinity();
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Per-iteration wall-clock budget check (campaign resilience): a
     // class whose Newton iteration never settles throws TimeoutError
     // here instead of spinning through every continuation rung.
     EvalScope::check_deadline();
-    double drift = 0.0;
-    if (have_factors && depth > 1)
-      for (std::size_t i = 0; i < map.node_unknowns(); ++i)
-        drift = std::max(drift, std::fabs(result.x[i] - x_at_factor[i]));
-    const bool refresh = force_fresh || !have_factors || !sparse_path ||
-                         since_factor >= depth || drift > kStaleDriftV;
     // Phase-time attribution (pt is null unless phase times were asked
     // for, and the hot loop stays clock-free). Device eval reached
     // through prepare_assembly self-reports into pt, so the assembly
@@ -99,23 +69,15 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
       pt->assembly_seconds +=
           phase_seconds(t0, t1) - (pt->device_eval_seconds - dev_before);
     }
-    if (refresh) {
-      if (!ctx.factor(n)) {
-        result.iterations = iter;
-        return result;  // converged == false
-      }
-      have_factors = true;
-      force_fresh = false;
-      since_factor = 0;
-      if (depth > 1) x_at_factor = result.x;
+    if (!ctx.factor(n)) {
+      result.iterations = iter;
+      return result;  // converged == false
     }
     PhaseClock::time_point t2;
     if (pt != nullptr) {
       t2 = PhaseClock::now();
-      if (refresh) pt->factor_seconds += phase_seconds(t1, t2);
+      pt->factor_seconds += phase_seconds(t1, t2);
     }
-    ++since_factor;
-    const bool stale = since_factor > 1;
     ctx.solve(b, x_new);
     if (pt != nullptr) pt->solve_seconds += phase_seconds(t2, PhaseClock::now());
 
@@ -124,51 +86,23 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
     for (std::size_t i = 0; i < map.node_unknowns(); ++i)
       max_dv = std::max(max_dv, std::fabs(x_new[i] - result.x[i]));
 
-    // Safeguarded reuse: a frozen-Jacobian step whose update grows
-    // relative to the previous accepted iteration is moving away from
-    // the fixed point, not toward it (positive-feedback stages flip
-    // the step direction across a device corner). Applying it would
-    // undo the fresh iterations' progress and can lock Newton into a
-    // fresh-good / stale-bad limit cycle that exhausts the iteration
-    // budget. Discard the step and refactor at the current iterate;
-    // near convergence stale updates shrink monotonically, so the
-    // reuse win in warm re-solves is untouched.
     result.iterations = iter + 1;
-    if (stale && max_dv > prev_max_dv) {
-      force_fresh = true;
-      continue;
-    }
-
     const double alpha =
         max_dv > options.max_step_v ? options.max_step_v / max_dv : 1.0;
     for (std::size_t i = 0; i < n; ++i)
       result.x[i] += alpha * (x_new[i] - result.x[i]);
-    prev_max_dv = max_dv;
     static const bool debug = std::getenv("DOT_NEWTON_DEBUG") != nullptr;
     if (debug)
-      std::fprintf(stderr,
-                   "  iter=%d refresh=%d stale=%d alpha=%.3f max_dv=%.6g "
-                   "drift=%.6g\n",
-                   iter, refresh ? 1 : 0, stale ? 1 : 0, alpha, max_dv, drift);
-    if (alpha == 1.0 && !stale && max_dv < best_max_dv) {
+      std::fprintf(stderr, "  iter=%d alpha=%.3f max_dv=%.6g\n", iter, alpha,
+                   max_dv);
+    if (alpha == 1.0 && max_dv < best_max_dv) {
       best_max_dv = max_dv;
       best_x = result.x;
     }
     if (alpha == 1.0 && max_dv < options.vtol) {
-      // A fixed point reached under reused (stale) factors solves the
-      // frozen-Jacobian system, not necessarily the true one: confirm
-      // with one fresh-factor iteration before declaring convergence.
-      if (stale) {
-        force_fresh = true;
-        continue;
-      }
       result.converged = true;
       return result;
     }
-    // Damped steps mean the iterate is still moving fast; reusing a
-    // Jacobian from the other side of a device corner only slows
-    // convergence down, so refresh eagerly.
-    if (alpha < 1.0) force_fresh = true;
   }
   // Loose acceptance for micro limit cycles (see DcOptions::loose_vtol):
   // return the best iterate seen if its Newton step was already tiny.

@@ -16,9 +16,9 @@
 //     from a reset start). Level 0 is the stock strategy set, so
 //     non-campaign callers see byte-identical behaviour;
 //   * an optional TranTotals sink (spice/transient.hpp): every
-//     transient() run inside the scope adds its phase times and
-//     block-factor counters to it, so a campaign attributes solver work
-//     per class without threading a sink through each macro simulator.
+//     transient() run inside the scope adds its phase times to it, so
+//     a campaign attributes solver work per class without threading a
+//     sink through each macro simulator.
 //
 // EvalScope is thread-local and nests (campaigns run nested parallel
 // loops); the innermost scope wins.

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "numeric/lu.hpp"
-#include "numeric/schur.hpp"
 #include "numeric/sparse.hpp"
 
 namespace dot::spice {
@@ -37,12 +36,9 @@ enum class SolverMode {
             ///< for one-shot solves; always sparse inside transient().
   kDense,   ///< Always dense partial-pivoting LU.
   kSparse,  ///< Always sparse (dense only as singular-pattern fallback).
-  kSchur,   ///< Block-arrowhead Schur solve over a slice partition
-            ///< (numeric/schur.hpp); flat sparse when no partition is
-            ///< attached or the netlist has no slice structure.
 };
 
-/// Parses "auto" / "dense" / "sparse" / "schur"; throws
+/// Parses "auto" / "dense" / "sparse"; throws
 /// util::InvalidInputError.
 SolverMode parse_solver_mode(const std::string& name);
 const char* solver_mode_name(SolverMode mode);
@@ -58,12 +54,6 @@ struct SolverOptions {
   /// n = 18 on its MNA-style netlists; 48 is kept because lowering it
   /// would move the DC solves of the small campaign macros.
   std::size_t sparse_threshold = 48;
-  /// Shamanskii-style Newton: reuse the numeric factors for up to this
-  /// many consecutive iterations before refactoring. 1 = classic Newton
-  /// (factor every iteration). Convergence reached under stale factors
-  /// is always confirmed with one fresh-factor iteration, so the
-  /// converged solution satisfies the same vtol contract as depth 1.
-  int shamanskii_depth = 1;
   double pivot_epsilon = 1e-13;
 };
 
@@ -87,13 +77,11 @@ struct PhaseTimes {
   double factor_seconds = 0.0;
   double solve_seconds = 0.0;
   // Attribution of factor_seconds (filled inside SolverContext::factor;
-  // the three sub-buckets sum to at most factor_seconds, the remainder
-  // being dispatch overhead): from-scratch symbolic analysis, numeric
-  // (re)factorization, and factor-reuse bookkeeping (the Schur solver's
-  // value diff scans + low-rank updates).
+  // the two sub-buckets sum to at most factor_seconds, the remainder
+  // being dispatch overhead): from-scratch symbolic analysis and numeric
+  // (re)factorization.
   double factor_symbolic_seconds = 0.0;
   double factor_numeric_seconds = 0.0;
-  double factor_reuse_seconds = 0.0;
 
   double total_seconds() const {
     return device_eval_seconds + assembly_seconds + factor_seconds +
@@ -106,7 +94,6 @@ struct PhaseTimes {
     solve_seconds += o.solve_seconds;
     factor_symbolic_seconds += o.factor_symbolic_seconds;
     factor_numeric_seconds += o.factor_numeric_seconds;
-    factor_reuse_seconds += o.factor_reuse_seconds;
     return *this;
   }
 };
@@ -124,45 +111,16 @@ class SolverContext {
 
   const SolverOptions& options() const { return options_; }
 
-  /// Whether an n-unknown system should take the sparse path. kSchur
-  /// always assembles sparse: the block solver consumes the CSR system,
-  /// and its flat fallback is the sparse LU.
+  /// Whether an n-unknown system should take the sparse path.
   bool use_sparse(std::size_t n) const {
     switch (options_.mode) {
       case SolverMode::kDense:
         return false;
       case SolverMode::kSparse:
-      case SolverMode::kSchur:
         return true;
       default:
         return n >= options_.sparse_threshold;
     }
-  }
-
-  /// Attaches the slice partition the Schur path solves over (see
-  /// spice/partition.hpp). A null or trivial partition leaves kSchur
-  /// behaving exactly like kSparse.
-  void set_partition(std::shared_ptr<const numeric::BlockPartition> p) {
-    partition_ = std::move(p);
-    schur_disabled_ = false;
-  }
-  const std::shared_ptr<const numeric::BlockPartition>& partition() const {
-    return partition_;
-  }
-
-  /// Whether factor() will attempt the block-arrowhead path. Newton
-  /// drivers force shamanskii depth 1 under schur: the solver's own
-  /// per-block value diffing subsumes factor reuse, and every factor()
-  /// must see the freshly assembled values for the diff to be exact.
-  bool schur_enabled() const {
-    return options_.mode == SolverMode::kSchur && partition_ &&
-           !partition_->trivial() && !schur_disabled_;
-  }
-  /// Whether the last successful factor() used the Schur solver.
-  bool schur_active() const { return schur_active_; }
-  /// Block reuse/refresh/low-rank counters (zeros unless schur ran).
-  const numeric::SchurSolver::Stats& schur_stats() const {
-    return schur_.stats();
   }
 
   /// Dense assembly/factorization workspace (assemble into
@@ -178,8 +136,7 @@ class SolverContext {
   /// numerically singular on every path.
   bool factor(std::size_t n);
 
-  /// Solves with the factors from the last successful factor() call
-  /// (which may be deliberately stale under Shamanskii reuse).
+  /// Solves with the factors from the last successful factor() call.
   void solve(const std::vector<double>& b, std::vector<double>& x);
 
   /// Attaches (or detaches, with nullptr) a per-phase wall-time sink;
@@ -197,27 +154,18 @@ class SolverContext {
   /// Number of from-scratch symbolic analyses this context has run
   /// (test/diagnostic hook: cache hits keep this flat).
   std::size_t symbolic_analyses() const { return symbolic_analyses_; }
-  /// Number of numeric factorizations (factor() calls). Under
-  /// Shamanskii reuse, Newton iterations exceed this; the difference is
-  /// the factor-reuse saving bench_bank reports.
+  /// Number of numeric factorizations (factor() calls).
   std::size_t factorizations() const { return factorizations_; }
   /// Whether the last successful factor() used the sparse factors.
   bool sparse_active() const { return sparse_active_; }
 
  private:
   bool factor_sparse(std::size_t n);
-  bool factor_schur();
 
   SolverOptions options_;
   numeric::DenseLu dense_;
   numeric::SparseAssembler assembler_;
   numeric::SparseFactors factors_;
-  std::shared_ptr<const numeric::BlockPartition> partition_;
-  numeric::SchurSolver schur_;
-  bool schur_active_ = false;
-  /// Set when the pattern/values defeated the block path (cross-block
-  /// coupling, singular block): the context stays flat from then on.
-  bool schur_disabled_ = false;
   /// Pattern-keyed symbolic cache, front = golden/seed entry.
   std::vector<std::shared_ptr<const numeric::SparseSymbolic>> cache_;
   std::size_t symbolic_analyses_ = 0;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cmath>
 
-#include "spice/partition.hpp"
 #include "spice/resilience.hpp"
 #include "util/error.hpp"
 
@@ -174,8 +173,6 @@ TranResult transient(const Netlist& netlist, const TranOptions& options) {
   if (solver_options.mode == SolverMode::kAuto)
     solver_options.mode = SolverMode::kSparse;
   SolverContext solver(solver_options);
-  if (solver_options.mode == SolverMode::kSchur)
-    solver.set_partition(make_slice_partition(netlist, map));
   TranTotals* const totals = EvalScope::tran_totals();
   PhaseTimes phases;
   if (options.collect_phase_times ||
@@ -188,11 +185,7 @@ TranResult transient(const Netlist& netlist, const TranOptions& options) {
   // Hands this run's share to the enclosing class scope, on success
   // and on a ConvergenceError alike.
   auto report = [&] {
-    if (totals == nullptr) return;
-    totals->phases += phases;
-    totals->block_refreshes += solver.schur_stats().block_refreshes;
-    totals->block_reuses += solver.schur_stats().block_reuses;
-    totals->lowrank_updates += solver.schur_stats().lowrank_updates;
+    if (totals != nullptr) totals->phases += phases;
   };
 
   TranStats stats;
@@ -227,10 +220,6 @@ TranResult transient(const Netlist& netlist, const TranOptions& options) {
   stats.factorizations = solver.factorizations();
   stats.symbolic_analyses = solver.symbolic_analyses();
   stats.sparse = solver.sparse_active();
-  stats.schur = solver.schur_active();
-  stats.block_refreshes = solver.schur_stats().block_refreshes;
-  stats.block_reuses = solver.schur_stats().block_reuses;
-  stats.lowrank_updates = solver.schur_stats().lowrank_updates;
   stats.phases = phases;
   result.set_stats(stats);
   return result;

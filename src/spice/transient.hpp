@@ -36,8 +36,8 @@ struct TranOptions {
 };
 
 /// Aggregate solver work of one transient run (scaling diagnostics:
-/// bench_bank plots unknowns vs per-Newton-solve wall time and the
-/// Shamanskii factor-reuse rate from these counters).
+/// bench_bank plots unknowns vs per-Newton-solve wall time from these
+/// counters).
 struct TranStats {
   std::size_t unknowns = 0;           ///< MNA system size.
   std::size_t newton_iterations = 0;  ///< Across all step attempts.
@@ -45,49 +45,20 @@ struct TranStats {
   std::size_t factorizations = 0;     ///< Numeric factor() calls.
   std::size_t symbolic_analyses = 0;  ///< From-scratch sparse analyses.
   bool sparse = false;  ///< Sparse path active on the last factor.
-  bool schur = false;   ///< Block-arrowhead path active on the last factor.
-  /// Schur block-factor accounting (zero on the flat paths): full block
-  /// refactorizations, bit-identical block reuses, and exact low-rank
-  /// (SMW) updates across all factor() calls of the run.
-  std::size_t block_refreshes = 0;
-  std::size_t block_reuses = 0;
-  std::size_t lowrank_updates = 0;
   /// Wall-time breakdown by phase (device eval / assembly / factor /
   /// solve); all zero unless TranOptions::collect_phase_times was set.
   PhaseTimes phases;
-
-  /// Fraction of Newton iterations served by reused (stale) factors.
-  double factor_reuse_rate() const {
-    return newton_iterations == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(factorizations) /
-                           static_cast<double>(newton_iterations);
-  }
-
-  /// Fraction of per-block factor decisions resolved without a full
-  /// block refactorization (bit-identical reuse or low-rank update).
-  double block_reuse_rate() const {
-    const std::size_t total = block_refreshes + block_reuses + lowrank_updates;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(block_reuses + lowrank_updates) /
-                     static_cast<double>(total);
-  }
 };
 
 /// Per-class sums over every transient() run inside an EvalScope that
 /// carries this sink (see spice/resilience.hpp): the campaign's
-/// --phase-times breakdown and Schur block-factor accounting. A run
-/// adds its share when it returns and also when it throws, so failed
-/// attempts are counted too.
+/// --phase-times breakdown. A run adds its share when it returns and
+/// also when it throws, so failed attempts are counted too.
 struct TranTotals {
   /// Time the phases of every run in the scope, whatever its
   /// TranOptions::collect_phase_times says.
   bool collect_phase_times = false;
   PhaseTimes phases;
-  std::size_t block_refreshes = 0;
-  std::size_t block_reuses = 0;
-  std::size_t lowrank_updates = 0;
 };
 
 /// Result of a transient run; indexable by node name / source name via

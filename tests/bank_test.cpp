@@ -18,6 +18,7 @@
 #include "fault/fault.hpp"
 #include "flashadc/bank.hpp"
 #include "flashadc/campaign.hpp"
+#include "flashadc/chip.hpp"
 #include "macro/equivalence.hpp"
 #include "util/parallel.hpp"
 
@@ -198,6 +199,32 @@ TEST(BankMapperTest, ProjectionsClassifyLocality) {
   trunk_short.device = "RIN2";
   EXPECT_EQ(dot::macro::project_fault(trunk_short, mapper).locality,
             FaultLocality::kUnmappable);
+}
+
+// An inter-slice bridge class projects to FaultLocality::kInterSlice --
+// its own bucket, never mixed into the slice-local or shared weight --
+// and the chip's support-macro hardware to kUnmappable.
+TEST(BankMapperTest, InterSliceClassesKeepTheirOwnBucket) {
+  BankOptions opt;
+  opt.size = 8;
+  const dot::macro::SliceMapper mapper = dot::flashadc::bank_slice_mapper(opt);
+
+  dot::fault::CircuitFault bridge;
+  bridge.kind = dot::fault::FaultKind::kShort;
+  bridge.nets = {"s0_outp", "s1_outp"};
+  const auto projected = dot::macro::project_fault(bridge, mapper);
+  EXPECT_EQ(projected.locality, FaultLocality::kInterSlice);
+  EXPECT_FALSE(projected.fault.has_value());
+
+  // Chip support-macro hardware: unmappable, also its own bucket.
+  dot::flashadc::ChipOptions chip_opt;
+  chip_opt.slices = 8;
+  dot::fault::CircuitFault dec_bridge;
+  dec_bridge.kind = dot::fault::FaultKind::kShort;
+  dec_bridge.nets = {"dec0_r0", "dec0_r1"};
+  const auto dec_projected = dot::macro::project_fault(
+      dec_bridge, dot::flashadc::chip_slice_mapper(chip_opt));
+  EXPECT_EQ(dec_projected.locality, FaultLocality::kUnmappable);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Building blocks of the transient engine's fast path: the SoA level-1
 // MOSFET kernel, the trusted-stream assembler, the precompiled MOSFET
-// stamp plan and branch_at, plus the multi-RHS triangular solve. Every
-// case here asserts *bit* identity against the plain code path it
-// replaces -- the campaign verdicts rest on these -- and the last cases
-// pin the whole fast path as transient() runs it.
+// stamp plan and branch_at. Every case here asserts *bit* identity
+// against the plain code path it replaces -- the campaign verdicts rest
+// on these -- and the last cases pin the whole fast path as transient()
+// runs it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -58,46 +58,6 @@ TEST(DeviceBatch, LanesBitIdenticalToScalarEval) {
     EXPECT_EQ(batch.gm[i], op.gm) << "lane " << i;
     EXPECT_EQ(batch.gds[i], op.gds) << "lane " << i;
     EXPECT_EQ(batch.gmb[i], op.gmb) << "lane " << i;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Multi-RHS solve vs per-RHS solve_into.
-
-TEST(SolveMulti, ColumnsBitIdenticalToSolveInto) {
-  // Small well-conditioned system with off-diagonal coupling.
-  const std::size_t n = 12;
-  numeric::SparseAssembler a;
-  a.begin(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.add(i, i, 4.0 + 0.1 * static_cast<double>(i));
-    if (i + 1 < n) {
-      a.add(i, i + 1, -1.0 - 0.01 * static_cast<double>(i));
-      a.add(i + 1, i, -1.2);
-    }
-  }
-  a.finish();
-  const auto symbolic = numeric::SparseSymbolic::analyze(a.pattern(),
-                                                         a.values());
-  ASSERT_NE(symbolic, nullptr);
-  numeric::SparseFactors multi;
-  numeric::SparseFactors single;
-  ASSERT_TRUE(multi.refactor(symbolic, a.values()));
-  ASSERT_TRUE(single.refactor(symbolic, a.values()));
-
-  std::vector<std::vector<double>> rhs(5, std::vector<double>(n));
-  std::vector<const std::vector<double>*> rhs_ptrs;
-  for (std::size_t k = 0; k < rhs.size(); ++k) {
-    for (std::size_t i = 0; i < n; ++i) rhs[k][i] = wiggle(i, k) + 1.0;
-    rhs_ptrs.push_back(&rhs[k]);
-  }
-  std::vector<std::vector<double>> xs;
-  multi.solve_multi(rhs_ptrs, xs);
-  ASSERT_EQ(xs.size(), rhs.size());
-  for (std::size_t k = 0; k < rhs.size(); ++k) {
-    std::vector<double> ref;
-    single.solve_into(rhs[k], ref);
-    EXPECT_EQ(xs[k], ref) << "rhs " << k;
   }
 }
 
