@@ -14,13 +14,15 @@
 #include "flashadc/report.hpp"
 #include "spice/solver.hpp"
 #include "util/parallel.hpp"
+#include "verdict_key.hpp"
 
 namespace dot {
 namespace {
 
 using flashadc::CampaignConfig;
-using flashadc::FaultOutcome;
 using flashadc::MacroCampaignResult;
+using testing_support::class_key;
+using testing_support::verdict_of;
 
 CampaignConfig small_config() {
   CampaignConfig config;
@@ -39,26 +41,6 @@ MacroCampaignResult run_macro(const CampaignConfig& config, unsigned threads) {
     ~Restore() { util::ThreadPool::set_global_thread_count(0); }
   } restore;
   return flashadc::run_campaign(config).macros.front();
-}
-
-/// Stable identity of an evaluated (class, pass) pair.
-std::string class_key(const FaultOutcome& o) {
-  std::string key = fault::fault_kind_name(o.cls.representative.kind);
-  for (const auto& net : o.cls.representative.nets) key += '|' + net;
-  key += '|' + o.cls.representative.device;
-  key += o.non_catastrophic ? "|noncat" : "|cat";
-  return key;
-}
-
-/// Everything the coverage compilation consumes, rendered for equality.
-std::string verdict_of(const FaultOutcome& o) {
-  std::string v = macro::voltage_signature_name(o.voltage);
-  for (const bool flag :
-       {o.current.ivdd, o.current.iddq, o.current.iinput,
-        o.detection.missing_code, o.detection.ivdd, o.detection.iddq,
-        o.detection.iinput, o.status == flashadc::EvalStatus::kUnresolved})
-    v += flag ? "|1" : "|0";
-  return v + "|attempts=" + std::to_string(o.attempts);
 }
 
 using VerdictMap = std::map<std::string, std::string>;
