@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
 
   bench::print_header("Figure 4 -- global detectability (entire ADC)");
-  const auto global = flashadc::run_full_campaign(args.config);
+  const auto global = flashadc::run_campaign(args.config);
 
   std::printf("macro areas (one instance x count):\n");
   double total_area = 0.0;

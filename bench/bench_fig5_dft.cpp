@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 5 -- global detectability after DfT");
 
   std::printf("--- nominal design ---\n");
-  const auto before = flashadc::run_full_campaign(args.config);
+  const auto before = flashadc::run_campaign(args.config);
   print_venn("catastrophic     ", before.venn_catastrophic);
   print_venn("non-catastrophic ", before.venn_noncatastrophic);
 
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
               "---\n");
   args.config.dft.leakage_free_flipflop = true;
   args.config.dft.separated_bias_lines = true;
-  const auto after = flashadc::run_full_campaign(args.config);
+  const auto after = flashadc::run_campaign(args.config);
   print_venn("catastrophic     ", after.venn_catastrophic);
   print_venn("non-catastrophic ", after.venn_noncatastrophic);
 

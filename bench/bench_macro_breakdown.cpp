@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
 
   bench::print_header("Per-macro detectability breakdown");
-  const auto global = flashadc::run_full_campaign(args.config);
+  const auto global = flashadc::run_campaign(args.config);
 
   util::TextTable table({"macro", "faults", "classes", "coverage %",
                          "current-detectable %"});

@@ -129,20 +129,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: --resume requires --journal=PATH\n", argv[0]);
     return 2;
   }
-  if (with_equivalence && config.macro_selection != "bank" &&
-      config.macro_selection != "chip") {
-    std::fprintf(stderr,
-                 "%s: --equivalence requires --macro=bank or --macro=chip\n",
-                 argv[0]);
+  if (with_equivalence &&
+      !flashadc::has_decomposition(config.macro_selection)) {
+    std::string macros;
+    for (const std::string& name : flashadc::macro_names())
+      if (flashadc::has_decomposition(name))
+        macros += (macros.empty() ? "--macro=" : " or --macro=") + name;
+    std::fprintf(stderr, "%s: --equivalence requires %s\n", argv[0],
+                 macros.c_str());
     return 2;
   }
   util::ThreadPool::set_global_thread_count(threads);
   util::arm_shutdown_handler();
 
   const bool sharded = config.resilience.shard_count > 1;
-  const bool single = config.macro_selection != "all" &&
-                      !config.macro_selection.empty();
-  if (single)
+  if (config.macro_selection != "all")
     std::printf("running the defect-oriented test path on macro '%s'\n"
                 "(%zu defects%s)...\n\n",
                 config.macro_selection.c_str(), config.defect_count,
@@ -198,11 +199,7 @@ int main(int argc, char** argv) {
                 config.macro_selection.c_str());
     macro::EquivalenceReport eq;
     try {
-      eq = config.macro_selection == "chip"
-               ? flashadc::compare_chip_decomposition(config,
-                                                      global.macros.at(0))
-               : flashadc::compare_bank_decomposition(config,
-                                                      global.macros.at(0));
+      eq = flashadc::compare_decomposition(config, global.macros.at(0));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
       return 1;

@@ -128,7 +128,8 @@ inline const char* campaign_usage() {
 }
 
 /// Offers `arg` to the shared campaign-knob parser: parse_common_arg
-/// plus the macro selection and geometry and the example presets.
+/// plus the macro selection (checked against the macro table) and
+/// geometry and the example presets.
 /// `threads` receives --threads (0 = hardware concurrency). On kBad a
 /// diagnostic naming `argv0` was already printed to stderr.
 inline ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
@@ -143,6 +144,12 @@ inline ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
   if (r != ArgParse::kUnknown) return r;
 
   if (const char* v = arg_value(arg, "--macro=")) {
+    try {
+      flashadc::campaign_macros(v);  // validates against the macro table
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: --macro: %s\n", argv0, e.what());
+      return ArgParse::kBad;
+    }
     config.macro_selection = v;
   } else if (arg == "--quick") {
     config.defect_count = 50000;

@@ -247,16 +247,11 @@ int bank_observed_slice(const BankOptions& options,
 // ---------------------------------------------------------------------
 // Flat-bank fault simulation.
 
-Netlist instantiate_bank_bench(const Netlist& macro_netlist,
-                               const BankOptions& options, int slice,
-                               double delta_v) {
+void add_column_sources(Netlist& n, const BankOptions& options,
+                        int slice, double delta_v) {
   check_options(options);
   if (slice < 0 || slice >= options.size)
     throw util::InvalidInputError("bank bench: slice out of range");
-  Netlist n = macro_netlist;
-  const auto nm = nmos_model();
-  const auto pm = pmos_model();
-  const double L = 1e-6;
 
   // Supplies.
   n.add_vsource("VDDA", "vdda", "0", SourceSpec::dc(kVdda));
@@ -276,18 +271,17 @@ Netlist instantiate_bank_bench(const Netlist& macro_netlist,
                                lsb()));
   n.add_vsource("VREFM", "vrefm", "0",
                 SourceSpec::dc(bank_tap_voltage(options, 0) - lsb()));
+}
 
-  // Bias lines: one generator drives the whole column.
-  n.add_vsource("VBN_SRC", "vbn_src", "0", SourceSpec::dc(kVbn));
-  n.add_resistor("RVBN", "vbn_src", "vbn", kBiasOutputOhms);
-  n.add_vsource("VBC_SRC", "vbc_src", "0", SourceSpec::dc(kVbc));
-  n.add_resistor("RVBC", "vbc_src", "vbc", kBiasOutputOhms);
-
-  // Clock drivers: the clock generator's final buffers, shared by every
-  // slice of the column (the distribution trunks are macro nets). The
-  // buffers are sized for their load -- one column's worth of switch
-  // gates -- so width scales with the column height, exactly as the
-  // real converter sizes its clock tree.
+void add_column_clock_buffers(Netlist& n, const BankOptions& options) {
+  // The clock generator's final buffers, shared by every slice of the
+  // column (the distribution trunks are macro nets). The buffers are
+  // sized for their load -- one column's worth of switch gates -- so
+  // width scales with the column height, exactly as the real converter
+  // sizes its clock tree.
+  const auto nm = nmos_model();
+  const auto pm = pmos_model();
+  const double L = 1e-6;
   const double drive = static_cast<double>(options.size);
   struct Phase {
     const char* name;
@@ -318,6 +312,19 @@ Netlist instantiate_bank_bench(const Netlist& macro_netlist,
     n.add_resistor("RCLK" + std::to_string(k), drv, ph.name,
                    kClockBufferOhms / drive);
   }
+}
+
+Netlist instantiate_bank_bench(const Netlist& macro_netlist,
+                               const BankOptions& options, int slice,
+                               double delta_v) {
+  Netlist n = macro_netlist;
+  add_column_sources(n, options, slice, delta_v);
+  // Bias lines: one generator drives the whole column.
+  n.add_vsource("VBN_SRC", "vbn_src", "0", SourceSpec::dc(kVbn));
+  n.add_resistor("RVBN", "vbn_src", "vbn", kBiasOutputOhms);
+  n.add_vsource("VBC_SRC", "vbc_src", "0", SourceSpec::dc(kVbc));
+  n.add_resistor("RVBC", "vbc_src", "vbc", kBiasOutputOhms);
+  add_column_clock_buffers(n, options);
   return n;
 }
 
@@ -337,8 +344,9 @@ spice::TranOptions bank_tran_options() {
   return opt;
 }
 
-ComparatorRun extract_bank_run(const spice::TranResult& result,
-                               const BankOptions& options, int slice) {
+ComparatorRun extract_column_run(
+    const spice::TranResult& result, const BankOptions& options, int slice,
+    const std::vector<std::string>& analog_sources) {
   check_options(options);
   if (slice < 0 || slice >= options.size)
     throw util::InvalidInputError("bank bench: slice out of range");
@@ -349,9 +357,8 @@ ComparatorRun extract_bank_run(const spice::TranResult& result,
   const double t_meas[3] = {kMeasSample, kMeasAmp, kMeasLatch};
   for (int p = 0; p < 3; ++p) {
     const double t = t_meas[p];
-    run.ivdd[static_cast<std::size_t>(p)] = delivered(t, "VDDA") +
-                                            delivered(t, "VBN_SRC") +
-                                            delivered(t, "VBC_SRC");
+    for (const std::string& src : analog_sources)
+      run.ivdd[static_cast<std::size_t>(p)] += delivered(t, src);
     run.iddq[static_cast<std::size_t>(p)] = delivered(t, "VDDD");
     run.iin[static_cast<std::size_t>(p)] = delivered(t, "VIN");
     run.iref[static_cast<std::size_t>(p)] =
@@ -379,6 +386,12 @@ ComparatorRun extract_bank_run(const spice::TranResult& result,
   return run;
 }
 
+ComparatorRun extract_bank_run(const spice::TranResult& result,
+                               const BankOptions& options, int slice) {
+  return extract_column_run(result, options, slice,
+                            {"VDDA", "VBN_SRC", "VBC_SRC"});
+}
+
 ComparatorRun run_bank_bench(const Netlist& full_bench,
                              const BankOptions& options, int slice) {
   spice::TranOptions tran = bank_tran_options();
@@ -386,28 +399,14 @@ ComparatorRun run_bank_bench(const Netlist& full_bench,
   return extract_bank_run(spice::transient(full_bench, tran), options, slice);
 }
 
-ComparatorRun simulate_bank_slice(const Netlist& macro_netlist,
-                                  const BankOptions& options, int slice,
-                                  double delta_v) {
-  const Netlist bench =
-      instantiate_bank_bench(macro_netlist, options, slice, delta_v);
-  try {
-    return run_bank_bench(bench, options, slice);
-  } catch (const util::ConvergenceError&) {
-    ComparatorRun failed;
-    failed.converged = false;
-    return failed;
-  }
-}
-
 std::array<ComparatorRun, 4> simulate_bank_grid(const Netlist& macro_netlist,
                                                 const BankOptions& options,
                                                 int slice) {
-  std::array<ComparatorRun, 4> runs;
-  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] =
-        simulate_bank_slice(macro_netlist, options, slice, kDecisionGrid[i]);
-  return runs;
+  return run_decision_grid([&](double delta_v) {
+    return run_bank_bench(
+        instantiate_bank_bench(macro_netlist, options, slice, delta_v),
+        options, slice);
+  });
 }
 
 }  // namespace dot::flashadc

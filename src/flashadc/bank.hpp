@@ -99,6 +99,19 @@ int bank_observed_slice(const BankOptions& options,
 // ---------------------------------------------------------------------
 // Flat-bank fault simulation (the per-comparator bench, generalized).
 
+/// The drivers every comparator-column bench (bank and chip) opens
+/// with, appended to `n`: the two supplies, the analog input at
+/// slice `slice`'s nominal tap + delta_v, and the reference window
+/// driving the ends of the tap string.
+void add_column_sources(spice::Netlist& n, const BankOptions& options,
+                        int slice, double delta_v);
+
+/// The clock generator's final buffers on the three phase trunks,
+/// sized for a column of options.size slices; every column bench
+/// closes with them. A bench adds its own bias and clock sources
+/// between the two calls (element order fixes the MNA numbering).
+void add_column_clock_buffers(spice::Netlist& n, const BankOptions& options);
+
 /// Wraps a (possibly faulty) bank macro netlist with the same realistic
 /// drivers as the single-comparator bench -- shared clock buffers and
 /// bias Thevenins now loaded by all N slices -- and drives vin at slice
@@ -119,6 +132,13 @@ spice::TranOptions bank_tran_options();
 ComparatorRun extract_bank_run(const spice::TranResult& result,
                                const BankOptions& options, int slice);
 
+/// Run record of any finished column transient: decisions from slice
+/// `slice`'s flipflop, ivdd summed over `analog_sources` in order, the
+/// other currents from the shared supplies and pins (converged=true).
+ComparatorRun extract_column_run(
+    const spice::TranResult& result, const BankOptions& options, int slice,
+    const std::vector<std::string>& analog_sources);
+
 /// Two-cycle transient on an already-instantiated bench; decisions read
 /// from slice `slice`'s flipflop, currents from the shared supplies/pins
 /// (whole-column measurements). Field-compatible with the
@@ -128,13 +148,8 @@ ComparatorRun extract_bank_run(const spice::TranResult& result,
 ComparatorRun run_bank_bench(const spice::Netlist& full_bench,
                              const BankOptions& options, int slice);
 
-/// Bench + run for a macro netlist at one input level; a convergence
-/// failure returns converged = false instead of throwing.
-ComparatorRun simulate_bank_slice(const spice::Netlist& macro_netlist,
-                                  const BankOptions& options, int slice,
-                                  double delta_v);
-
-/// All four decision-grid points for one observed slice.
+/// All four decision-grid points for one observed slice; convergence
+/// failures return converged = false instead of throwing.
 std::array<ComparatorRun, 4> simulate_bank_grid(
     const spice::Netlist& macro_netlist, const BankOptions& options,
     int slice);

@@ -22,8 +22,6 @@
 
 namespace dot::flashadc {
 
-class CampaignJournal;
-
 /// Knobs for the campaign resilience layer: sharding, crash-safe
 /// journaling/resume, and graceful degradation on pathological fault
 /// classes. Defaults reproduce the original single-process,
@@ -93,9 +91,8 @@ struct CampaignConfig {
   /// breakdown of every fault-class transient (MacroCampaignResult::
   /// phase_times). Off by default: the hot loops stay clock-free.
   bool collect_phase_times = false;
-  /// Which macro campaign run_campaign drives: "all" (the five-macro
-  /// decomposed flow) or a single macro name -- comparator / ladder /
-  /// biasgen / clockgen / decoder / bank / chip.
+  /// Which macro campaigns run_campaign drives: "all" (the five-macro
+  /// decomposed flow) or a single macro name (see campaign_macros).
   std::string macro_selection = "all";
   /// Column height for the flat comparator-bank macro (2..256, must
   /// divide 256). Only meaningful with macro_selection == "bank".
@@ -159,31 +156,32 @@ struct MacroCampaignResult {
   std::size_t unresolved_classes() const;
 };
 
-MacroCampaignResult run_comparator_campaign(const CampaignConfig& config,
-                                            CampaignJournal* journal = nullptr);
-MacroCampaignResult run_ladder_campaign(const CampaignConfig& config,
-                                        CampaignJournal* journal = nullptr);
-MacroCampaignResult run_biasgen_campaign(const CampaignConfig& config,
-                                         CampaignJournal* journal = nullptr);
-MacroCampaignResult run_clockgen_campaign(const CampaignConfig& config,
-                                          CampaignJournal* journal = nullptr);
-MacroCampaignResult run_decoder_campaign(const CampaignConfig& config,
-                                         CampaignJournal* journal = nullptr);
-/// The flat comparator-bank campaign (config.bank_size slices as one
-/// netlist): same sprinkle -> collapse -> simulate -> signature pipeline
-/// as every other macro, with each fault class observed at the slice it
-/// touches. Sharding / journaling / resume work unchanged (macro name
-/// "bank").
-MacroCampaignResult run_bank_campaign(const CampaignConfig& config,
-                                      CampaignJournal* journal = nullptr);
-/// The full-chip campaign (config.chip_slices comparators plus the
-/// bias generator, clock generator and thermometer decoder as ONE flat
-/// netlist): the first coverage number with no decomposition
-/// assumptions at all. Same pipeline, same resilience semantics
-/// (macro name "chip"). Its transients run the flat sparse solver
-/// (kAuto or kSparse); kDense is exact but an order of magnitude slower.
-MacroCampaignResult run_chip_campaign(const CampaignConfig& config,
-                                      CampaignJournal* journal = nullptr);
+/// Every macro campaign, in canonical (journal and report) order:
+/// comparator, ladder, biasgen, clockgen, decoder, bank, chip. The one
+/// table behind this list also fixes each macro's supply net and its
+/// sprinkle and envelope salts (flashadc/campaign.cpp).
+std::vector<std::string> macro_names();
+
+/// The macros a CampaignConfig::macro_selection runs, in campaign
+/// order: "all" is the five-macro decomposed flow (comparator, ladder,
+/// biasgen, clockgen, decoder), any macro name is that macro alone.
+/// Throws util::InvalidInputError on anything else.
+std::vector<std::string> campaign_macros(const std::string& selection);
+
+/// Whether compare_decomposition can diff this macro against the
+/// per-comparator decomposition (bank and chip).
+bool has_decomposition(const std::string& macro_name);
+
+/// One macro campaign, unjournaled: sprinkle -> collapse -> fault
+/// models -> simulation -> signatures -> detection (paper fig. 1).
+/// The flat "bank" observes each class at the slice it touches; the
+/// "chip" (config.chip_slices comparators plus the bias generator,
+/// clock generator and thermometer decoder as ONE flat netlist) gives
+/// a coverage number with no decomposition assumptions at all, and
+/// runs the flat sparse solver (kAuto or kSparse; kDense is exact but
+/// an order of magnitude slower).
+MacroCampaignResult run_macro_campaign(const std::string& macro_name,
+                                       const CampaignConfig& config);
 
 /// Whole-circuit results (paper figures 4 and 5).
 struct GlobalResult {
@@ -194,33 +192,23 @@ struct GlobalResult {
   macro::MechanismMatrix matrix_noncatastrophic;
 };
 
-GlobalResult run_full_campaign(const CampaignConfig& config);
-
-/// Dispatches on config.macro_selection: the full five-macro flow for
-/// "all", or a single macro campaign (journaled when configured)
-/// compiled alone. Throws util::InvalidInputError on an unknown name.
+/// Runs campaign_macros(config.macro_selection) -- journaled when
+/// configured, sharded and resumable -- and compiles them.
 GlobalResult run_campaign(const CampaignConfig& config);
 
 /// Compiles the global figures from already-run macro results.
 GlobalResult compile_global(std::vector<MacroCampaignResult> macros);
 
-/// Diffs a finished bank campaign against the paper's per-comparator
-/// decomposition: every bank fault class is projected onto the
-/// single-comparator macro (macro::project_fault with the bank's slice
+/// Diffs a finished bank or chip campaign against the paper's
+/// per-comparator decomposition: every class is projected onto the
+/// single-comparator macro (macro::project_fault with the macro's slice
 /// mapper); mapped classes are re-evaluated there under the same band
 /// policy, and genuine inter-slice / unmappable classes -- the weight
-/// the decomposition never sees -- are bucketed separately with their
-/// weight kept in every coverage denominator.
-macro::EquivalenceReport compare_bank_decomposition(
-    const CampaignConfig& config, const MacroCampaignResult& bank);
-
-/// Diffs a finished chip campaign against the per-comparator
-/// decomposition, exactly like compare_bank_decomposition -- except
-/// here the unmappable bucket additionally holds every support-macro
-/// class (decoder / clockgen / biasgen hardware and the cross-macro
-/// nets), i.e. the interface-straddling weight the paper's figure 1
-/// flow only ever models indirectly.
-macro::EquivalenceReport compare_chip_decomposition(
-    const CampaignConfig& config, const MacroCampaignResult& chip);
+/// the decomposition never sees; on the chip also every support-macro
+/// class and cross-macro net -- are bucketed separately with their
+/// weight kept in every coverage denominator. Throws
+/// util::InvalidInputError for a macro without a decomposition.
+macro::EquivalenceReport compare_decomposition(
+    const CampaignConfig& config, const MacroCampaignResult& composite);
 
 }  // namespace dot::flashadc

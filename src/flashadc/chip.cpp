@@ -13,7 +13,6 @@
 
 namespace dot::flashadc {
 
-using spice::MosType;
 using spice::Netlist;
 using spice::PulseParams;
 using spice::SourceSpec;
@@ -166,152 +165,42 @@ Netlist instantiate_chip_bench(const Netlist& macro_netlist,
     throw util::InvalidInputError("chip bench: slice out of range");
   const BankOptions bank = chip_bank_options(options);
   Netlist n = macro_netlist;
-  const auto nm = nmos_model();
-  const auto pm = pmos_model();
-  const double L = 1e-6;
-
-  // Supplies.
-  n.add_vsource("VDDA", "vdda", "0", SourceSpec::dc(kVdda));
-  n.add_vsource("VDDD", "vddd", "0", SourceSpec::dc(kVddd));
-
-  // Analog input at the observed slice's decision point.
-  n.add_vsource("VIN", "vin", "0",
-                SourceSpec::dc(bank_tap_voltage(bank, slice) + delta_v));
-
-  // Reference window (see instantiate_bank_bench).
-  n.add_vsource("VREFP", "vrefp", "0",
-                SourceSpec::dc(bank_tap_voltage(bank, options.slices - 1) +
-                               lsb()));
-  n.add_vsource("VREFM", "vrefm", "0",
-                SourceSpec::dc(bank_tap_voltage(bank, 0) - lsb()));
+  add_column_sources(n, bank, slice, delta_v);
 
   // NO bias Thevenins: the on-chip generator owns vbn/vbc now.
 
   // Chip clock into the clock generator: one full-swing pulse per
   // cycle spanning the sample window, behind a short interconnect.
-  {
-    PulseParams p;
-    p.initial = 0.0;
-    p.pulsed = kVddd;
-    p.delay = kSampleStart;
-    p.rise = kClockEdge;
-    p.fall = kClockEdge;
-    p.width = (kSampleEnd - kSampleStart) - kClockEdge;
-    p.period = kCyclePeriod;
-    n.add_vsource("VCLK", "clkin", "0", SourceSpec::pulse(p));
-    n.add_resistor("RCLKIN", "clkin", "clk", 100.0);
-  }
+  PulseParams p;
+  p.initial = 0.0;
+  p.pulsed = kVddd;
+  p.delay = kSampleStart;
+  p.rise = kClockEdge;
+  p.fall = kClockEdge;
+  p.width = (kSampleEnd - kSampleStart) - kClockEdge;
+  p.period = kCyclePeriod;
+  n.add_vsource("VCLK", "clkin", "0", SourceSpec::pulse(p));
+  n.add_resistor("RCLKIN", "clkin", "clk", 100.0);
 
   // Phase trunk drivers, exactly the bank bench's (the generator's
   // ns-scale delay chain cannot make the 40/25/20 ns windows; its
   // outputs switch their own loads on ckg_clk1..3 instead).
-  const double drive = static_cast<double>(options.slices);
-  struct Phase {
-    const char* name;
-    double start, end;
-  };
-  const Phase phases[] = {{"clk1", kSampleStart, kSampleEnd},
-                          {"clk2", kAmpStart, kAmpEnd},
-                          {"clk3", kLatchStart, kLatchEnd}};
-  int k = 0;
-  for (const auto& ph : phases) {
-    ++k;
-    PulseParams p;
-    p.initial = kVddd;  // pre high -> clock low
-    p.pulsed = 0.0;     // pre low  -> clock high
-    p.delay = ph.start;
-    p.rise = kClockEdge;
-    p.fall = kClockEdge;
-    p.width = (ph.end - ph.start) - kClockEdge;
-    p.period = kCyclePeriod;
-    const std::string pre = std::string("pre") + ph.name;
-    const std::string drv = std::string("drv") + ph.name;
-    n.add_vsource("VPRE" + std::to_string(k), pre, "0",
-                  SourceSpec::pulse(p));
-    n.add_mosfet("MBP" + std::to_string(k), MosType::kPmos, drv, pre, "vddd",
-                 "vddd", 40e-6 * drive, L, pm);
-    n.add_mosfet("MBN" + std::to_string(k), MosType::kNmos, drv, pre, "0",
-                 "0", 20e-6 * drive, L, nm);
-    n.add_resistor("RCLK" + std::to_string(k), drv, ph.name,
-                   kClockBufferOhms / drive);
-  }
+  add_column_clock_buffers(n, bank);
   return n;
-}
-
-spice::TranOptions chip_tran_options() { return bank_tran_options(); }
-
-ComparatorRun extract_chip_run(const spice::TranResult& result,
-                               const ChipOptions& options, int slice) {
-  check_options(options);
-  if (slice < 0 || slice >= options.slices)
-    throw util::InvalidInputError("chip bench: slice out of range");
-  ComparatorRun run;
-  auto delivered = [&](double t, const std::string& src) {
-    return -result.current_at(t, src);
-  };
-  const double t_meas[3] = {kMeasSample, kMeasAmp, kMeasLatch};
-  for (int p = 0; p < 3; ++p) {
-    const double t = t_meas[p];
-    // The bias generator sits behind VDDA here, so the analog supply
-    // alone is the whole-chip analog current (the bank bench had to
-    // add its external bias Thevenins in).
-    run.ivdd[static_cast<std::size_t>(p)] = delivered(t, "VDDA");
-    run.iddq[static_cast<std::size_t>(p)] = delivered(t, "VDDD");
-    run.iin[static_cast<std::size_t>(p)] = delivered(t, "VIN");
-    run.iref[static_cast<std::size_t>(p)] =
-        delivered(t, "VREFP") + delivered(t, "VREFM");
-  }
-  run.clock_levels = {
-      result.voltage_at(kMeasSample, "clk1"),  // clk1 hi
-      result.voltage_at(kMeasAmp, "clk1"),     // clk1 lo
-      result.voltage_at(kMeasAmp, "clk2"),     // clk2 hi
-      result.voltage_at(kMeasSample, "clk2"),  // clk2 lo
-      result.voltage_at(kMeasLatch, "clk3"),   // clk3 hi
-      result.voltage_at(kMeasSample, "clk3"),  // clk3 lo
-  };
-  const double t_read = kCyclePeriod + (kAmpStart + kAmpEnd) / 2.0;
-  const std::string prefix = bank_slice_net_prefix(slice);
-  const double q = result.voltage_at(t_read, prefix + "q");
-  const double qb = result.voltage_at(t_read, prefix + "qb");
-  if (q - qb > 3.0)
-    run.decision = 1;
-  else if (qb - q > 3.0)
-    run.decision = -1;
-  else
-    run.decision = 0;
-  run.converged = true;
-  return run;
 }
 
 ComparatorRun run_chip_bench(const Netlist& full_bench,
                              const ChipOptions& options, int slice) {
-  spice::TranOptions tran = chip_tran_options();
+  check_options(options);
+  // Same two-cycle window and zero-state start as the bank (the chip DC
+  // has the same floating-node problem).
+  spice::TranOptions tran = bank_tran_options();
   tran.solver = options.solver;
-  return extract_chip_run(spice::transient(full_bench, tran), options, slice);
-}
-
-ComparatorRun simulate_chip_slice(const Netlist& macro_netlist,
-                                  const ChipOptions& options, int slice,
-                                  double delta_v) {
-  const Netlist bench =
-      instantiate_chip_bench(macro_netlist, options, slice, delta_v);
-  try {
-    return run_chip_bench(bench, options, slice);
-  } catch (const util::ConvergenceError&) {
-    ComparatorRun failed;
-    failed.converged = false;
-    return failed;
-  }
-}
-
-std::array<ComparatorRun, 4> simulate_chip_grid(const Netlist& macro_netlist,
-                                                const ChipOptions& options,
-                                                int slice) {
-  std::array<ComparatorRun, 4> runs;
-  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] =
-        simulate_chip_slice(macro_netlist, options, slice, kDecisionGrid[i]);
-  return runs;
+  // The bias generator sits behind VDDA here, so the analog supply
+  // alone is the whole-chip analog current (the bank bench adds its
+  // external bias Thevenins in).
+  return extract_column_run(spice::transient(full_bench, tran),
+                            chip_bank_options(options), slice, {"VDDA"});
 }
 
 }  // namespace dot::flashadc

@@ -98,27 +98,12 @@ spice::Netlist instantiate_chip_bench(const spice::Netlist& macro_netlist,
                                       const ChipOptions& options, int slice,
                                       double delta_v);
 
-/// Identical to bank_tran_options(): same two-cycle window, same
-/// zero-state start (the chip DC has the same floating-node problem).
-spice::TranOptions chip_tran_options();
-
-/// Run record: decisions from slice `slice`'s flipflop; ivdd is the
-/// analog supply alone (the bias generator sits behind it), iddq the
-/// digital supply (now including decoder + clockgen quiescent paths).
-ComparatorRun extract_chip_run(const spice::TranResult& result,
-                               const ChipOptions& options, int slice);
-
+/// Two-cycle transient of a chip bench (the bank's window and
+/// zero-state start). Decisions from slice `slice`'s flipflop; ivdd is
+/// the analog supply alone (the bias generator sits behind it), iddq
+/// the digital supply (now including decoder + clockgen quiescent
+/// paths). Convergence failures throw.
 ComparatorRun run_chip_bench(const spice::Netlist& full_bench,
                              const ChipOptions& options, int slice);
-
-/// Bench + run at one input level; convergence failures return
-/// converged = false.
-ComparatorRun simulate_chip_slice(const spice::Netlist& macro_netlist,
-                                  const ChipOptions& options, int slice,
-                                  double delta_v);
-
-std::array<ComparatorRun, 4> simulate_chip_grid(
-    const spice::Netlist& macro_netlist, const ChipOptions& options,
-    int slice);
 
 }  // namespace dot::flashadc

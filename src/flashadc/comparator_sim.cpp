@@ -156,12 +156,25 @@ std::array<ComparatorRun, 4> simulate_comparator_grid(const Netlist& macro) {
   return simulate_comparator_grid(macro, spice::SolverOptions{});
 }
 
+std::array<ComparatorRun, 4> run_decision_grid(
+    const std::function<ComparatorRun(double delta_v)>& run_at) {
+  std::array<ComparatorRun, 4> runs;
+  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i) {
+    try {
+      runs[i] = run_at(kDecisionGrid[i]);
+    } catch (const util::ConvergenceError&) {
+      runs[i].converged = false;
+    }
+  }
+  return runs;
+}
+
 std::array<ComparatorRun, 4> simulate_comparator_grid(
     const Netlist& macro, const spice::SolverOptions& solver) {
-  std::array<ComparatorRun, 4> runs;
-  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] = simulate_comparator(macro, kDecisionGrid[i], solver);
-  return runs;
+  return run_decision_grid([&](double delta_v) {
+    return run_comparator(instantiate_comparator_bench(macro, delta_v),
+                          solver);
+  });
 }
 
 macro::MeasurementLayout comparator_measurement_layout() {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,12 @@ ComparatorRun run_comparator(const spice::Netlist& full_bench,
 /// convergence failure returns converged = false instead of throwing.
 ComparatorRun simulate_comparator(const spice::Netlist& macro, double delta_v,
                                   const spice::SolverOptions& solver = {});
+
+/// The four runs `run_at(delta_v)` of a bench over kDecisionGrid, in
+/// grid order; a run that throws util::ConvergenceError is returned
+/// with converged = false.
+std::array<ComparatorRun, 4> run_decision_grid(
+    const std::function<ComparatorRun(double delta_v)>& run_at);
 
 /// All four grid points. Index order follows kDecisionGrid.
 std::array<ComparatorRun, 4> simulate_comparator_grid(

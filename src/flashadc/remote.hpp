@@ -13,17 +13,12 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "dispatch/dispatcher.hpp"
 #include "dispatch/worker.hpp"
 #include "flashadc/campaign.hpp"
 
 namespace dot::flashadc {
-
-/// Macro names `config` will journal, in campaign order ("all" expands
-/// to the five-macro decomposed flow).
-std::vector<std::string> expected_macros(const CampaignConfig& config);
 
 /// Dispatcher-side identity/validation/completion fields of a
 /// DispatcherConfig, derived from the campaign config. The caller

@@ -20,7 +20,7 @@ CampaignConfig small_config() {
 }
 
 TEST(Campaign, ComparatorProducesOutcomes) {
-  const auto r = run_comparator_campaign(small_config());
+  const auto r = run_macro_campaign("comparator", small_config());
   EXPECT_EQ(r.macro_name, "comparator");
   EXPECT_EQ(r.instance_count, 256u);
   EXPECT_GT(r.cell_area, 0.0);
@@ -40,8 +40,8 @@ TEST(Campaign, ComparatorProducesOutcomes) {
 }
 
 TEST(Campaign, ComparatorDeterministicForSeed) {
-  const auto a = run_comparator_campaign(small_config());
-  const auto b = run_comparator_campaign(small_config());
+  const auto a = run_macro_campaign("comparator", small_config());
+  const auto b = run_macro_campaign("comparator", small_config());
   ASSERT_EQ(a.catastrophic.size(), b.catastrophic.size());
   for (std::size_t i = 0; i < a.catastrophic.size(); ++i) {
     EXPECT_EQ(a.catastrophic[i].voltage, b.catastrophic[i].voltage);
@@ -53,14 +53,14 @@ TEST(Campaign, ComparatorDeterministicForSeed) {
 TEST(Campaign, LadderMostlyCurrentDetectable) {
   auto config = small_config();
   config.max_classes = 40;
-  const auto r = run_ladder_campaign(config);
+  const auto r = run_macro_campaign("ladder", config);
   ASSERT_FALSE(r.catastrophic.empty());
   // Paper: 99.8% of reference-ladder faults are current detectable.
   EXPECT_GT(r.current_coverage(false), 0.9);
 }
 
 TEST(Campaign, BiasgenEvaluates) {
-  const auto r = run_biasgen_campaign(small_config());
+  const auto r = run_macro_campaign("biasgen", small_config());
   ASSERT_FALSE(r.catastrophic.empty());
   EXPECT_GT(r.coverage(false), 0.3);
 }
@@ -68,7 +68,7 @@ TEST(Campaign, BiasgenEvaluates) {
 TEST(Campaign, ClockgenIddqDominates) {
   auto config = small_config();
   config.max_classes = 40;
-  const auto r = run_clockgen_campaign(config);
+  const auto r = run_macro_campaign("clockgen", config);
   ASSERT_FALSE(r.catastrophic.empty());
   // Paper: 93.8% of clock-generator faults are current detectable, and
   // the mechanism is the digital quiescent current.
@@ -82,7 +82,7 @@ TEST(Campaign, ClockgenIddqDominates) {
 }
 
 TEST(Campaign, DecoderEvaluates) {
-  const auto r = run_decoder_campaign(small_config());
+  const auto r = run_macro_campaign("decoder", small_config());
   ASSERT_FALSE(r.catastrophic.empty());
   EXPECT_EQ(r.instance_count, 64u);
   EXPECT_GT(r.coverage(false), 0.5);
@@ -91,8 +91,8 @@ TEST(Campaign, DecoderEvaluates) {
 TEST(Campaign, GlobalCompilationAreaWeighted) {
   auto config = small_config();
   config.max_classes = 15;
-  auto comparator = run_comparator_campaign(config);
-  auto ladder = run_ladder_campaign(config);
+  auto comparator = run_macro_campaign("comparator", config);
+  auto ladder = run_macro_campaign("ladder", config);
   const auto global = compile_global({comparator, ladder});
   EXPECT_EQ(global.macros.size(), 2u);
   const auto& venn = global.venn_catastrophic;
@@ -106,7 +106,7 @@ TEST(Campaign, GlobalCompilationAreaWeighted) {
 }
 
 TEST(Campaign, OutcomesFeedTestSetOptimizer) {
-  const auto r = run_comparator_campaign(small_config());
+  const auto r = run_macro_campaign("comparator", small_config());
   const auto contribution = r.contribution(false);
   const auto set = testgen::optimize_test_set(contribution.outcomes);
   EXPECT_FALSE(set.mechanisms.empty());
@@ -118,11 +118,11 @@ TEST(Campaign, OutcomesFeedTestSetOptimizer) {
 TEST(Campaign, DftImprovesComparatorCoverage) {
   auto config = small_config();
   config.max_classes = 30;
-  const auto nominal = run_comparator_campaign(config);
+  const auto nominal = run_macro_campaign("comparator", config);
   auto dft_config = config;
   dft_config.dft.leakage_free_flipflop = true;
   dft_config.dft.separated_bias_lines = true;
-  const auto dft = run_comparator_campaign(dft_config);
+  const auto dft = run_macro_campaign("comparator", dft_config);
   // Paper figure 5: the DfT measures raise coverage (93.3% -> 99.1%
   // globally). At this truncated scale we only require improvement.
   EXPECT_GE(dft.coverage(false) + 0.02, nominal.coverage(false));

@@ -275,7 +275,7 @@ TEST(Injection, TimeoutClassEndsUnresolvedAfterRetryBudget) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_biasgen_campaign(config);
+  const auto r = flashadc::run_macro_campaign("biasgen", config);
   ASSERT_FALSE(r.catastrophic.empty());
   // The sabotaged class completed the campaign as a structured
   // unresolved outcome (class order is likelihood order, so class 0 is
@@ -315,7 +315,7 @@ TEST(Injection, AidEscalationRescuesClass) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_biasgen_campaign(config);
+  const auto r = flashadc::run_macro_campaign("biasgen", config);
   ASSERT_FALSE(r.catastrophic.empty());
   // Attempts at aid 0 and 1 fail; the third attempt (aid 2) resolves.
   const auto& rescued = r.catastrophic[0];
@@ -333,7 +333,7 @@ TEST(Injection, ConvergenceFailureStaysDetectedByConstruction) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_biasgen_campaign(config);
+  const auto r = flashadc::run_macro_campaign("biasgen", config);
   ASSERT_FALSE(r.catastrophic.empty());
   // ConvergenceError is a statement about the circuit, not the
   // infrastructure: the macro simulator converts it to converged=false
@@ -360,7 +360,7 @@ flashadc::CampaignConfig tiny_full_config() {
 TEST(Sharding, ShardUnionMatchesUnshardedRun) {
   auto unsharded = tiny_full_config();
   unsharded.resilience.journal_path = temp_path("unsharded.jsonl");
-  flashadc::run_full_campaign(unsharded);
+  flashadc::run_campaign(unsharded);
 
   std::vector<std::string> shard_journals;
   for (std::size_t k = 0; k < 2; ++k) {
@@ -370,7 +370,7 @@ TEST(Sharding, ShardUnionMatchesUnshardedRun) {
     shard.resilience.journal_path =
         temp_path("shard" + std::to_string(k) + ".jsonl");
     shard_journals.push_back(shard.resilience.journal_path);
-    flashadc::run_full_campaign(shard);
+    flashadc::run_campaign(shard);
   }
 
   // Both reports go through the merge path, so equality is exact.
@@ -394,7 +394,7 @@ TEST(Sharding, MergeRejectsIncompleteOrDuplicateShardSets) {
     shard.resilience.journal_path =
         temp_path("merge_check" + std::to_string(k) + ".jsonl");
     journals.push_back(shard.resilience.journal_path);
-    flashadc::run_full_campaign(shard);
+    flashadc::run_campaign(shard);
   }
   EXPECT_THROW(flashadc::merge_shard_journals({journals[0]}),
                util::ShardError);
@@ -407,19 +407,19 @@ TEST(Resume, RejectsJournalFromDifferentCampaign) {
   auto config = tiny_full_config();
   config.max_classes = 2;
   config.resilience.journal_path = temp_path("mismatch.jsonl");
-  flashadc::run_full_campaign(config);
+  flashadc::run_campaign(config);
 
   auto other = config;
   other.seed = 12345;  // different campaign identity
   other.resilience.resume = true;
-  EXPECT_THROW(flashadc::run_full_campaign(other), util::ShardError);
+  EXPECT_THROW(flashadc::run_campaign(other), util::ShardError);
 }
 
 TEST(Resume, KilledRunResumesToIdenticalReport) {
   auto config = tiny_full_config();
   config.resilience.journal_path = temp_path("full.jsonl");
   config.resilience.checkpoint_block = 4;
-  const auto uninterrupted = flashadc::run_full_campaign(config);
+  const auto uninterrupted = flashadc::run_campaign(config);
   const std::string reference = flashadc::to_json(uninterrupted);
 
   // Simulate a SIGKILL mid-campaign: keep a prefix of the journal and
@@ -438,7 +438,7 @@ TEST(Resume, KilledRunResumesToIdenticalReport) {
   resumed_config.resilience.resume = true;
   write_file(resumed_config.resilience.journal_path, truncated);
 
-  const auto resumed = flashadc::run_full_campaign(resumed_config);
+  const auto resumed = flashadc::run_campaign(resumed_config);
   EXPECT_EQ(flashadc::to_json(resumed), reference);
 
   // After the resumed run, the repaired journal merges to the same
