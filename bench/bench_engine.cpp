@@ -1,17 +1,18 @@
 // google-benchmark microbenchmarks of the computational kernels: MNA
 // assembly + LU solve, DC operating points, clocked transients, defect
-// analysis and the behavioral missing-code test. These bound how large a
-// campaign a given time budget affords.
+// analysis and sprinkling, and the behavioral missing-code test. These
+// bound how large a campaign a given time budget affords.
 #include <benchmark/benchmark.h>
 
 #include "defect/analyze.hpp"
-#include "defect/statistics.hpp"
+#include "defect/simulate.hpp"
 #include "flashadc/behavioral.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
 #include "flashadc/ladder.hpp"
 #include "numeric/lu.hpp"
 #include "spice/dc.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -62,15 +63,32 @@ BENCHMARK(BM_LadderDc)->Unit(benchmark::kMillisecond);
 void BM_DefectAnalysis(benchmark::State& state) {
   const auto cell = flashadc::build_comparator_layout();
   const defect::DefectAnalyzer analyzer(cell, {.vdd_net = "vdda"});
-  const defect::DefectStatistics stats;
+  const defect::DefectSampler sampler(defect::DefectStatistics{},
+                                      cell.bounding_box());
+  defect::DefectAnalyzer::Scratch scratch;
   util::Rng rng(7);
-  const auto area = cell.bounding_box();
   for (auto _ : state) {
-    const auto defect = defect::sample_defect(stats, area, rng);
-    benchmark::DoNotOptimize(analyzer.analyze(defect));
+    const auto defect = sampler.draw(rng);
+    benchmark::DoNotOptimize(analyzer.analyze(defect, scratch));
   }
 }
 BENCHMARK(BM_DefectAnalysis);
+
+/// The whole defect layer (sprinkle, extract, collapse) on one thread.
+void BM_DefectSprinkle(benchmark::State& state) {
+  const auto cell = flashadc::build_comparator_layout();
+  defect::CampaignOptions options;
+  options.defect_count = static_cast<std::size_t>(state.range(0));
+  options.vdd_net = "vdda";
+  util::ThreadPool::set_global_thread_count(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(defect::run_campaign(cell, options));
+    ++options.seed;
+  }
+  util::ThreadPool::set_global_thread_count(0);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DefectSprinkle)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 void BM_MissingCodeTest(benchmark::State& state) {
   flashadc::FlashAdcModel adc;

@@ -25,13 +25,14 @@ void render(const layout::CellLayout& cell, const std::string& path,
 
   // Overlay the first few defects that actually cause faults.
   defect::DefectAnalyzer analyzer(cell, {});
-  defect::DefectStatistics stats;
+  const defect::DefectSampler sampler(defect::DefectStatistics{},
+                                      cell.bounding_box());
+  defect::DefectAnalyzer::Scratch scratch;
   util::Rng rng(1995);
   int found = 0;
   for (int i = 0; i < 200000 && found < defect_overlays; ++i) {
-    const auto defect =
-        defect::sample_defect(stats, cell.bounding_box(), rng);
-    const auto fault = analyzer.analyze(defect);
+    const auto defect = sampler.draw(rng);
+    const auto fault = analyzer.analyze(defect, scratch);
     if (!fault) continue;
     ++found;
     layout::SvgMarker marker;

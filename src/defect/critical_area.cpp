@@ -38,6 +38,7 @@ CriticalAreaCurve critical_area_curve(const DefectAnalyzer& analyzer,
   const auto ny =
       static_cast<std::size_t>(std::ceil(box.height() / grid_pitch));
 
+  DefectAnalyzer::Scratch scratch;
   for (double size : curve.sizes) {
     std::size_t hits = 0;
     for (std::size_t iy = 0; iy < ny; ++iy) {
@@ -49,7 +50,7 @@ CriticalAreaCurve critical_area_curve(const DefectAnalyzer& analyzer,
                                         grid_pitch,
                          box.y_lo + (static_cast<double>(iy) + 0.5) *
                                         grid_pitch};
-        if (analyzer.analyze(defect)) ++hits;
+        if (analyzer.analyze(defect, scratch)) ++hits;
       }
     }
     curve.areas.push_back(static_cast<double>(hits) * grid_pitch *

@@ -1,7 +1,8 @@
 #include "defect/statistics.hpp"
 
 #include <array>
-#include <vector>
+#include <cmath>
+#include <stdexcept>
 
 namespace dot::defect {
 
@@ -40,13 +41,48 @@ DefectStatistics::DefectStatistics() {
   weight(DefectType::kJunctionPinhole) = 1.0;
 }
 
-DefectType DefectStatistics::sample_type(util::Rng& rng) const {
-  const std::vector<double> w(weights.begin(), weights.end());
-  return static_cast<DefectType>(rng.weighted(w));
+DefectSampler::DefectSampler(const DefectStatistics& stats,
+                             const layout::Rect& area)
+    : weights_(stats.weights), area_(area), size_min_(stats.size_min) {
+  for (double w : weights_) {
+    if (w < 0.0)
+      throw std::invalid_argument("DefectStatistics: negative weight");
+    weight_total_ += w;
+  }
+  if (weight_total_ <= 0.0)
+    throw std::invalid_argument("DefectStatistics: no positive weight");
+  if (!(stats.size_min > 0.0) || !(stats.size_max >= stats.size_min))
+    throw std::invalid_argument("DefectStatistics: bad size range");
+  log_uniform_ = stats.size_exponent == 1.0;
+  if (log_uniform_) {
+    log_span_ = std::log(stats.size_max / stats.size_min);
+  } else {
+    const double one_minus = 1.0 - stats.size_exponent;
+    pow_min_ = std::pow(stats.size_min, one_minus);
+    pow_max_ = std::pow(stats.size_max, one_minus);
+    inverse_ = 1.0 / one_minus;
+  }
 }
 
-double DefectStatistics::sample_size(util::Rng& rng) const {
-  return rng.power_law(size_min, size_max, size_exponent);
+Defect DefectSampler::draw(util::Rng& rng) const {
+  Defect d;
+  double pick = rng.uniform() * weight_total_;
+  std::size_t type = weights_.size() - 1;  // floating-point round-off
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    pick -= weights_[i];
+    if (pick < 0.0) {
+      type = i;
+      break;
+    }
+  }
+  d.type = static_cast<DefectType>(type);
+  d.center.x = rng.uniform(area_.x_lo, area_.x_hi);
+  d.center.y = rng.uniform(area_.y_lo, area_.y_hi);
+  const double u = rng.uniform();
+  d.size = log_uniform_ ? size_min_ * std::exp(u * log_span_)
+                        : std::pow(pow_min_ + u * (pow_max_ - pow_min_),
+                                   inverse_);
+  return d;
 }
 
 }  // namespace dot::defect

@@ -10,6 +10,7 @@
 #include <array>
 #include <string>
 
+#include "layout/geometry.hpp"
 #include "util/rng.hpp"
 
 namespace dot::defect {
@@ -70,11 +71,43 @@ struct DefectStatistics {
   double& weight(DefectType type) {
     return weights[static_cast<std::size_t>(type)];
   }
+};
 
-  /// Draws a defect type according to the weights.
-  DefectType sample_type(util::Rng& rng) const;
-  /// Draws a spot diameter.
-  double sample_size(util::Rng& rng) const;
+/// One sprinkled spot defect.
+struct Defect {
+  DefectType type = DefectType::kExtraMetal1;
+  layout::Point center;
+  double size = 1.0;  ///< Spot diameter (modelled as a square).
+};
+
+/// Draws defects from one DefectStatistics over one sprinkle area: the
+/// type by weight, the position uniform over the area, the size by the
+/// power law. The weight total and the power-law constants are computed
+/// once here instead of on every draw; each draw consumes the same four
+/// uniforms with the same arithmetic as Rng::weighted followed by two
+/// Rng::uniform and one Rng::power_law, so its defects are bit-identical
+/// to those formulas.
+class DefectSampler {
+ public:
+  /// Throws std::invalid_argument for a negative weight, no positive
+  /// weight, or a size range without 0 < size_min <= size_max.
+  DefectSampler(const DefectStatistics& stats, const layout::Rect& area);
+
+  Defect draw(util::Rng& rng) const;
+
+ private:
+  std::array<double, kDefectTypeCount> weights_;
+  double weight_total_ = 0.0;
+  layout::Rect area_;
+  double size_min_ = 0.0;
+  /// exponent == 1: sizes are log-uniform, size_min * exp(u * log_span_).
+  bool log_uniform_ = false;
+  double log_span_ = 0.0;
+  /// Otherwise pow(a + u * (b - a), inverse_) with a = size_min^(1-e),
+  /// b = size_max^(1-e), inverse_ = 1 / (1-e).
+  double pow_min_ = 0.0;
+  double pow_max_ = 0.0;
+  double inverse_ = 0.0;
 };
 
 }  // namespace dot::defect

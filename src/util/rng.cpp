@@ -15,35 +15,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
 }
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::below(std::uint64_t n) {
   assert(n > 0);
@@ -78,7 +55,7 @@ double Rng::normal(double mean, double sigma) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-std::size_t Rng::weighted(const std::vector<double>& weights) {
+std::size_t Rng::weighted(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("Rng::weighted: negative weight");

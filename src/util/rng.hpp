@@ -7,7 +7,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace dot::util {
 
@@ -24,13 +24,23 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t below(std::uint64_t n);
@@ -46,7 +56,7 @@ class Rng {
 
   /// Draws an index according to the (unnormalized) weights.
   /// Requires at least one strictly positive weight.
-  std::size_t weighted(const std::vector<double>& weights);
+  std::size_t weighted(std::span<const double> weights);
 
   /// Power-law sample with density ~ 1/x^exponent on [x_min, x_max].
   /// The classic spot-defect size distribution uses exponent = 3.
@@ -64,6 +74,10 @@ class Rng {
   Rng split(std::uint64_t stream_id) const;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;

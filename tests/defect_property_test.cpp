@@ -40,13 +40,14 @@ TEST_P(DefectPropertyTest, ExtractedFaultsAreWellFormed) {
   synth.pins = {"in", "out2", "vdd", "0"};
   const auto cell = layout::synthesize_layout(netlist, "cell", synth);
   const DefectAnalyzer analyzer(cell, {.vdd_net = "vdd"});
-  const DefectStatistics stats;
+  const DefectSampler sampler(DefectStatistics{}, cell.bounding_box());
+  DefectAnalyzer::Scratch scratch;
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6364136223846ull);
   const auto nets = cell.nets();
 
   for (int i = 0; i < 20000; ++i) {
-    const Defect defect = sample_defect(stats, cell.bounding_box(), rng);
-    const auto fault = analyzer.analyze(defect);
+    const Defect defect = sampler.draw(rng);
+    const auto fault = analyzer.analyze(defect, scratch);
     if (!fault) continue;
     // Net references must exist in the layout; shorts are sorted and
     // duplicate free.

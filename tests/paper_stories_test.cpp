@@ -111,13 +111,14 @@ TEST(PaperStories, SeparatedBiasLinesReduceAdjacentShortExposure) {
   const auto count_bias_shorts = [](const ComparatorDft& dft) {
     const auto cell = build_comparator_layout(dft);
     const defect::DefectAnalyzer analyzer(cell, {.vdd_net = "vdda"});
-    defect::DefectStatistics stats;
+    const defect::DefectSampler sampler(defect::DefectStatistics{},
+                                        cell.bounding_box());
+    defect::DefectAnalyzer::Scratch scratch;
     util::Rng rng(5);
     std::size_t hits = 0;
     for (int i = 0; i < 150000; ++i) {
-      const auto d =
-          defect::sample_defect(stats, cell.bounding_box(), rng);
-      const auto f = analyzer.analyze(d);
+      const auto d = sampler.draw(rng);
+      const auto f = analyzer.analyze(d, scratch);
       if (f && f->kind == fault::FaultKind::kShort && f->nets.size() == 2 &&
           f->nets[0] == "vbc" && f->nets[1] == "vbn")
         ++hits;
