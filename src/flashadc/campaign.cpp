@@ -526,8 +526,8 @@ const MacroKind& kind_of(const std::string& name) {
 
 /// Builds the driver's good-signature envelope: one counter-based RNG
 /// stream per Monte-Carlo sample keeps the population identical at any
-/// thread count.
-void fill_envelope(MacroDriver& driver, const MacroKind& kind,
+/// thread count. Returns the number of samples kept.
+std::size_t fill_envelope(MacroDriver& driver, const MacroKind& kind,
                    const CampaignConfig& config) {
   const MacroDriver& d = driver;
   const util::Rng master(config.seed ^ kind.envelope_salt);
@@ -545,6 +545,7 @@ void fill_envelope(MacroDriver& driver, const MacroKind& kind,
   policy.ivdd_dilution *= d.dilution;
   policy.iinput_dilution *= d.dilution;
   driver.envelope.emplace(macro::build_envelope(d.layout, samples, policy));
+  return samples.size();
 }
 
 FaultModelOptions model_options(const CampaignConfig& config,
@@ -727,7 +728,8 @@ MacroCampaignResult run_driver(const MacroKind& kind,
   sprinkle.vdd_net = kind.supply_net;
   result.defects = defect::run_campaign(cell.layout, sprinkle);
   if (journal != nullptr) journal->record_macro(result);
-  fill_envelope(*driver, kind, config);
+  result.envelope_samples_kept = fill_envelope(*driver, kind, config);
+  result.envelope = driver->envelope->space();
 
   // Classes are ranked by likelihood, so truncation keeps the weight
   // distribution nearly intact.

@@ -2,7 +2,8 @@
 // on the comparator, ladder, biasgen, clockgen, decoder and bank-8
 // layouts at a pinned seed, plus two comparator arms that exercise the
 // clustering and log-uniform (size_exponent = 1) branches the default
-// statistics never reach. Each entry pins the campaign counters, the
+// statistics never reach, and a biasgen arm at 1.1M defects: 135 blocks
+// of 8,192 merged in three waves (64 + 64 + 7), the last block partial. Each entry pins the campaign counters, the
 // per-kind and per-type arrays, an FNV-1a hash over every collapsed
 // class (key and count, in result order) and the first 20 classes in
 // clear. The committed digest (golden/sprinkle_digest.json) must match
@@ -51,6 +52,7 @@ struct Arm {
   const char* supply_net;
   std::uint64_t sprinkle_offset;
   defect::DefectStatistics statistics;
+  std::size_t defects = kDefects;
 };
 
 std::vector<Arm> arms() {
@@ -71,6 +73,8 @@ std::vector<Arm> arms() {
        {}},
       {"comparator/clustered", comparator, "vdda", 1, clustered},
       {"comparator/size_exponent_1", comparator, "vdda", 1, log_uniform},
+      {"biasgen/multi_wave", flashadc::build_biasgen_macro, "vdda", 3, {},
+       1100000},
   };
 }
 
@@ -154,7 +158,7 @@ std::string render_digest(unsigned threads) {
     const macro::MacroCell cell = arm.build();
     defect::CampaignOptions options;
     options.statistics = arm.statistics;
-    options.defect_count = kDefects;
+    options.defect_count = arm.defects;
     options.seed = kSeed + arm.sprinkle_offset;
     options.vdd_net = arm.supply_net;
     text += separator +

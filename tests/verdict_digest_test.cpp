@@ -29,22 +29,6 @@ namespace {
 
 const char* kDigestPath = DOT_GOLDEN_DIR "/verdict_digest.json";
 
-/// The --smoke preset at a pinned seed; the bank and the chip run 8
-/// slices on the flat sparse solver.
-flashadc::CampaignConfig digest_config(const std::string& macro) {
-  flashadc::CampaignConfig config;
-  config.defect_count = 8000;
-  config.envelope_samples = 4;
-  config.max_classes = 8;
-  config.seed = 1995;
-  config.macro_selection = macro;
-  config.bank_size = 8;
-  config.chip_slices = 8;
-  if (macro == "bank" || macro == "chip")
-    config.solver.mode = spice::SolverMode::kSparse;
-  return config;
-}
-
 /// The digest on a pool of `threads`: a header line pinning the
 /// configuration, then one line per evaluated (class, pass) pair, macro
 /// by macro, in outcome order (catastrophic, then non-catastrophic).
@@ -53,7 +37,7 @@ std::string render_digest(unsigned threads) {
   struct Restore {
     ~Restore() { util::ThreadPool::set_global_thread_count(0); }
   } restore;
-  const auto pinned = digest_config("comparator");
+  const auto pinned = testing_support::digest_config("comparator");
   util::JsonWriter header;
   header.begin_object();
   header.key("schema");
@@ -75,7 +59,8 @@ std::string render_digest(unsigned threads) {
   const char* separator = "";
   for (const char* macro : {"comparator", "ladder", "biasgen", "clockgen",
                             "decoder", "bank", "chip"}) {
-    const auto result = flashadc::run_campaign(digest_config(macro)).macros;
+    const auto result =
+        flashadc::run_campaign(testing_support::digest_config(macro)).macros;
     for (const auto* outcomes :
          {&result.front().catastrophic, &result.front().noncatastrophic})
       for (const auto& o : *outcomes) {
