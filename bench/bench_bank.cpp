@@ -2,12 +2,12 @@
 //
 // Sweeps the column height over {2, 4, 8, 16, 32, 64} slices, runs the
 // bank bench's two-cycle transient at each size, and reports how the
-// MNA solve scales: unknown count and wall-clock per Newton solve.
-// This is the measurement behind SolverOptions::sparse_threshold
-// staying honest as the flat-bank netlists grow far past the
-// single-macro sizes.
+// MNA solve scales: unknown count and wall-clock per Newton solve, as
+// the flat-bank netlists grow far past the single-macro sizes. The
+// solver column reads "dense" only when the last factorization fell
+// back to the densified LU.
 //
-//   bench_bank [--quick|--smoke] [--solver=M] [--json=FILE | --json-root]
+//   bench_bank [--quick|--smoke] [--json=FILE | --json-root]
 //
 // --smoke shrinks the sweep to {2, 4, 8} for CI.
 //

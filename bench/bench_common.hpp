@@ -8,7 +8,6 @@
 //   --classes=N    cap on evaluated fault classes (0 = all)
 //   --seed=N       master seed
 //   --threads=N    worker threads (default: hardware concurrency)
-//   --solver=M     linear solver: auto (default) | dense | sparse
 //   --class-timeout-ms=T  wall-clock budget per fault-class attempt
 //                  (0 = unlimited, the default); expired classes are
 //                  retried under escalating solver aid and reported
@@ -32,7 +31,7 @@
 //
 // JSON reports follow the "dot-bench-v1" schema: every file carries
 // {"schema": "dot-bench-v1", "bench": <name>, "wall_seconds", "threads",
-//  "solver", "classes_evaluated", "classes_per_sec"} plus an optional
+//  "classes_evaluated", "classes_per_sec"} plus an optional
 // bench-specific "result" payload.
 #pragma once
 
@@ -59,7 +58,7 @@ struct BenchArgs {
   static void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--defects=N] [--envelope=N] [--classes=N] "
-                 "[--seed=N] [--threads=N] [--solver=auto|dense|sparse] "
+                 "[--seed=N] [--threads=N] "
                  "[--class-timeout-ms=T] [--max-retries=N] "
                  "[--phase-times] "
                  "[--json=FILE] [--json-root] [--quick] [--smoke]\n",
@@ -188,11 +187,9 @@ inline void report_run(const BenchArgs& args, const WallTimer& timer,
   std::snprintf(head, sizeof head,
                 "{\"schema\": \"dot-bench-v1\", \"bench\": \"%s\", "
                 "\"wall_seconds\": %.6f, \"threads\": %u, "
-                "\"solver\": \"%s\", "
                 "\"classes_evaluated\": %zu, \"classes_per_sec\": %.3f",
-                args.bench.c_str(), wall, args.threads,
-                spice::solver_mode_name(args.config.solver.mode),
-                classes_evaluated, rate);
+                args.bench.c_str(), wall, args.threads, classes_evaluated,
+                rate);
   out << head;
   if (!payload_json.empty()) out << ", \"result\": " << payload_json;
   out << "}\n";

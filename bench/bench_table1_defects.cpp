@@ -23,14 +23,12 @@ int main(int argc, char** argv) {
 
   util::JsonWriter json;
   json.begin_array();
-  std::size_t classes_total = 0;
   for (std::size_t count : {std::size_t{25000}, args.config.defect_count}) {
     defect::CampaignOptions opt;
     opt.statistics = args.config.statistics;
     opt.defect_count = count;
     opt.seed = args.config.seed;
     const auto r = defect::run_campaign(analyzer, opt);
-    classes_total += r.classes.size();
 
     std::printf("sprinkled %zu defects -> %zu faults (%.2f%%), %zu classes\n",
                 r.defects_sprinkled, r.faults_extracted,
@@ -74,6 +72,9 @@ int main(int argc, char** argv) {
   std::printf(
       "paper reference: shorts > 95%% of faults; opens 0.03%% of faults\n"
       "but 5.1%% of fault classes; 334 classes at 10M defects.\n");
-  bench::report_run(args, timer, classes_total, json.str());
+  // Sprinkling only: no class is evaluated, so the wall line and the
+  // report's classes_evaluated read 0 (the collapsed class counts are in
+  // the result payload).
+  bench::report_run(args, timer, 0, json.str());
   return 0;
 }

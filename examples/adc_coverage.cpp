@@ -28,8 +28,6 @@
 //   --chip-slices=N       comparator count for --macro=chip (4..256,
 //                         must divide 256 and be a multiple of 4;
 //                         default 256)
-//   --solver=MODE         linear solver for every simulation: auto |
-//                         dense | sparse (default auto)
 //   --equivalence         with --macro=bank or --macro=chip: diff the
 //                         flat result against the per-comparator
 //                         decomposition

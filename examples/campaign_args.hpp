@@ -3,7 +3,7 @@
 //
 // The dispatch tools (dispatch_daemon / dispatch_worker) must agree
 // with adc_coverage on every knob that shapes the campaign identity --
-// seed, defect budget, macro selection, solver mode, ... -- because the
+// seed, defect budget, macro selection, ... -- because the
 // dispatcher validates worker hellos field-by-field against its own
 // meta record. Keeping one parser guarantees a worker launched with the
 // same flags as the daemon passes the handshake interlock.
@@ -17,7 +17,6 @@
 #include <string>
 
 #include "flashadc/campaign.hpp"
-#include "spice/solver.hpp"
 
 namespace dot::examples {
 
@@ -76,7 +75,7 @@ inline constexpr std::uint64_t kMaxCountArg = 1000000000;
 
 /// The knobs every campaign CLI and every bench harness shares: the
 /// numeric budgets, --threads (into `threads`; 0 = hardware
-/// concurrency), --solver and --phase-times. The removed --batch is
+/// concurrency) and --phase-times. The removed --batch and --solver are
 /// rejected here with a diagnostic.
 inline ArgParse parse_common_arg(const char* argv0, const std::string& arg,
                                  flashadc::CampaignConfig& config,
@@ -97,17 +96,16 @@ inline ArgParse parse_common_arg(const char* argv0, const std::string& arg,
   whole("--max-retries", 0, 100, config.resilience.max_retries);
   if (r != ArgParse::kUnknown) return r;
 
-  if (const char* v = arg_value(arg, "--solver=")) {
-    try {
-      config.solver.mode = spice::parse_solver_mode(v);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-      return ArgParse::kBad;
-    }
-  } else if (arg_value(arg, "--batch") != nullptr) {
+  if (arg_value(arg, "--batch") != nullptr) {
     std::fprintf(stderr,
                  "%s: --batch was removed; every fault class runs on the "
                  "one transient path\n",
+                 argv0);
+    return ArgParse::kBad;
+  } else if (arg_value(arg, "--solver") != nullptr) {
+    std::fprintf(stderr,
+                 "%s: --solver was removed; every system runs on the one "
+                 "sparse solver\n",
                  argv0);
     return ArgParse::kBad;
   } else if (arg == "--phase-times") {
@@ -123,7 +121,7 @@ inline const char* campaign_usage() {
   return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
          "          [--threads=N] [--class-timeout-ms=T] [--max-retries=N]\n"
          "          [--phase-times] [--macro=NAME]\n"
-         "          [--bank-size=N] [--chip-slices=N] [--solver=MODE]\n"
+         "          [--bank-size=N] [--chip-slices=N]\n"
          "          [--quick] [--smoke]\n";
 }
 

@@ -2,7 +2,7 @@
 // campaign-identity handshake, and evaluates assigned shards with the
 // ordinary campaign machinery, streaming every journal record back as
 // it lands. Launch it with the SAME campaign knobs as the daemon -- a
-// mismatched seed, defect budget, solver mode or macro geometry is
+// mismatched seed, defect budget or macro geometry is
 // rejected at the handshake by field name.
 //
 // Usage: dispatch_worker --connect=HOST:PORT [campaign knobs]

@@ -5,8 +5,8 @@
 // carries the campaign's journal meta record verbatim (as an embedded
 // string), so the dispatcher validates a connecting worker with the
 // exact meta-mismatch interlock the journal layer uses for resume/merge
-// -- a worker built for a different seed, defect budget, solver mode or
-// macro geometry is rejected by field name before any work is assigned.
+// -- a worker built for a different seed, defect budget or macro
+// geometry is rejected by field name before any work is assigned.
 //
 //   worker -> dispatcher    hello, heartbeat, record, shard_done,
 //                           shard_failed

@@ -44,7 +44,7 @@ spice::Netlist instantiate_comparator_bench(const spice::Netlist& macro,
                                             double delta_v);
 
 /// Transient settings of the two-cycle comparator bench (default
-/// solver options: kAuto, which transient() runs sparse).
+/// solver options).
 spice::TranOptions comparator_tran_options();
 
 /// Extracts the run record from a finished two-cycle transient

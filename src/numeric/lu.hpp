@@ -1,6 +1,6 @@
-// LU factorization with partial pivoting. This is the dense linear
-// solver behind small DC operating points and transient time steps;
-// systems past the sparse crossover go through numeric/sparse.hpp.
+// LU factorization with partial pivoting. Every MNA system goes through
+// the sparse LU of numeric/sparse.hpp; this dense solver factors the
+// densified system when sparse analysis rejects a matrix.
 // The pivoting kernel itself lives in numeric/dense_lu.hpp, shared
 // with the complex (AC) variant.
 #pragma once

@@ -1,8 +1,6 @@
-// Dense real matrix used by the MNA formulation. Macro cells in the
-// methodology are deliberately small (that is the point of the macro
-// decomposition), so a dense solver wins on constant factors below the
-// dense/sparse crossover (~20-30 unknowns, measured by bench_solver);
-// past it, spice::SolverContext switches to numeric/sparse.hpp.
+// Dense real matrix: the workspace of the dense LU (numeric/lu.hpp),
+// which factors a densified MNA system when sparse analysis rejects it
+// (see spice::SolverContext).
 #pragma once
 
 #include <cstddef>

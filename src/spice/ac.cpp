@@ -62,22 +62,12 @@ double AcResult::phase_deg(std::size_t i, const std::string& node) const {
 
 namespace {
 
-/// Matrix-entry sinks for the templated AC stamper (same pattern as the
-/// real-valued stamper in mna.cpp).
-struct DenseAcTarget {
-  ComplexMatrix& a;
-  void add(std::size_t r, std::size_t c, Complex v) { a(r, c) += v; }
-};
-
-struct SparseAcTarget {
-  numeric::ComplexSparseAssembler& a;
-  void add(std::size_t r, std::size_t c, Complex v) { a.add(r, c, v); }
-};
-
-template <typename Target>
+/// Stamps small-signal admittances into the complex sparse assembler
+/// (the AC counterpart of the real-valued stamper in mna.cpp).
 class AcStamper {
  public:
-  AcStamper(const MnaMap& map, Target a) : map_(map), a_(a) {}
+  AcStamper(const MnaMap& map, numeric::ComplexSparseAssembler& a)
+      : map_(map), a_(a) {}
 
   void admittance(NodeId na, NodeId nb, Complex y) {
     const int i = map_.node_index(na);
@@ -144,7 +134,7 @@ class AcStamper {
  private:
   static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
   const MnaMap& map_;
-  Target a_;
+  numeric::ComplexSparseAssembler& a_;
 };
 
 /// Smooth switch conductance copied from the transient stamper's rules.
@@ -158,15 +148,15 @@ double switch_conductance_at(const Switch& sw, double vctrl) {
 }
 
 /// Stamps every device linearized around the DC point `dc_x` at angular
-/// frequency `w` into the target (dense matrix or sparse assembler).
-template <typename Target>
+/// frequency `w` into the assembler.
 void stamp_ac_system(const Netlist& netlist, const MnaMap& map,
                      const std::vector<double>& dc_x,
                      const std::string& ac_source, double w, double gshunt,
-                     Target target, std::vector<Complex>& b) {
+                     numeric::ComplexSparseAssembler& a,
+                     std::vector<Complex>& b) {
   for (std::size_t i = 0; i < map.node_unknowns(); ++i)
-    target.add(i, i, Complex{gshunt, 0.0});
-  AcStamper<Target> stamp(map, target);
+    a.add(i, i, Complex{gshunt, 0.0});
+  AcStamper stamp(map, a);
   for (const auto& device : netlist.devices()) {
     std::visit(
         [&](const auto& d) {
@@ -235,25 +225,13 @@ AcResult ac_analysis(const Netlist& netlist, const AcOptions& options) {
   AcResult result(map, std::move(node_names), options.frequencies);
 
   const std::size_t n = map.size();
-  bool sparse = false;
-  switch (options.solver.mode) {
-    case SolverMode::kDense:
-      sparse = false;
-      break;
-    case SolverMode::kSparse:
-      sparse = true;
-      break;
-    default:
-      sparse = n >= options.solver.sparse_threshold;
-  }
   const double eps = options.solver.pivot_epsilon;
 
   // Workspaces shared across the whole sweep: the stamp sequence is
   // frequency-independent, so the sparse pattern freezes after the
   // first point and the symbolic analysis is reused until a pivot
   // drifts out of range (re-analyzed) or sparse LU rejects the matrix
-  // (densified fallback). The dense factorization workspace likewise
-  // persists instead of reallocating n*n per frequency.
+  // (densified fallback, whose workspace likewise persists).
   numeric::ComplexSparseAssembler assembler;
   numeric::ComplexSparseFactors factors;
   std::shared_ptr<const numeric::SparseSymbolic> symbolic;
@@ -262,44 +240,32 @@ AcResult ac_analysis(const Netlist& netlist, const AcOptions& options) {
   for (double f : options.frequencies) {
     const double w = 2.0 * M_PI * f;
     b.assign(n, Complex{0.0, 0.0});
-    bool solved_sparse = false;
-    if (sparse) {
-      assembler.begin(n);
-      stamp_ac_system(netlist, map, dc.x, options.source, w,
-                      options.dc.gshunt, SparseAcTarget{assembler}, b);
-      assembler.finish();
-      if (!symbolic || !factors.refactor(symbolic, assembler.values(), eps)) {
-        symbolic = numeric::SparseSymbolic::analyze(assembler.pattern(),
-                                                    assembler.values(), eps);
-        solved_sparse =
-            symbolic && factors.refactor(symbolic, assembler.values(), eps);
-      } else {
-        solved_sparse = true;
-      }
-      if (solved_sparse) {
-        factors.solve_into(b, x);
-      } else {
-        // Densify and let full partial pivoting decide.
-        ComplexMatrix& m = dense.matrix();
-        if (m.rows() != n || m.cols() != n) m = ComplexMatrix(n, n);
-        m.fill(Complex{0.0, 0.0});
-        const auto& pattern = assembler.pattern();
-        const auto& values = assembler.values();
-        for (std::size_t r = 0; r < n; ++r)
-          for (std::int32_t idx = pattern.row_ptr[r];
-               idx < pattern.row_ptr[r + 1]; ++idx)
-            m(r, static_cast<std::size_t>(pattern.cols[idx])) = values[idx];
-        dense.factor(eps);
-        dense.solve_into(b, x);  // throws ConvergenceError when singular
-      }
+    assembler.begin(n);
+    stamp_ac_system(netlist, map, dc.x, options.source, w, options.dc.gshunt,
+                    assembler, b);
+    assembler.finish();
+    bool solved_sparse = true;
+    if (!symbolic || !factors.refactor(symbolic, assembler.values(), eps)) {
+      symbolic = numeric::SparseSymbolic::analyze(assembler.pattern(),
+                                                  assembler.values(), eps);
+      solved_sparse =
+          symbolic && factors.refactor(symbolic, assembler.values(), eps);
+    }
+    if (solved_sparse) {
+      factors.solve_into(b, x);
     } else {
+      // Densify and let full partial pivoting decide.
       ComplexMatrix& m = dense.matrix();
       if (m.rows() != n || m.cols() != n) m = ComplexMatrix(n, n);
       m.fill(Complex{0.0, 0.0});
-      stamp_ac_system(netlist, map, dc.x, options.source, w, options.dc.gshunt,
-                      DenseAcTarget{m}, b);
+      const auto& pattern = assembler.pattern();
+      const auto& values = assembler.values();
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::int32_t idx = pattern.row_ptr[r];
+             idx < pattern.row_ptr[r + 1]; ++idx)
+          m(r, static_cast<std::size_t>(pattern.cols[idx])) = values[idx];
       dense.factor(eps);
-      dense.solve_into(b, x);
+      dense.solve_into(b, x);  // throws ConvergenceError when singular
     }
     result.append(x);
   }

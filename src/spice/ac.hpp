@@ -24,9 +24,8 @@ struct AcOptions {
   std::vector<double> frequencies;
   /// DC options used for the operating point.
   DcOptions dc;
-  /// Linear-solver selection (shared semantics with DC/transient). On
-  /// the sparse path the symbolic analysis of G + jwC is reused across
-  /// all frequency points.
+  /// Linear-solver settings (shared with DC/transient). The symbolic
+  /// analysis of G + jwC is reused across all frequency points.
   SolverOptions solver;
 };
 

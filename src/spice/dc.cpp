@@ -34,7 +34,6 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
 
   SolverContext local_solver;
   SolverContext& ctx = solver != nullptr ? *solver : local_solver;
-  const bool sparse_path = ctx.use_sparse(n);
 
   std::vector<double> b;
   std::vector<double> x_new;
@@ -56,13 +55,8 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
       t0 = PhaseClock::now();
       dev_before = pt->device_eval_seconds;
     }
-    if (sparse_path) {
-      assemble_mna(netlist, map, result.x, x_prev_step, stamp,
-                   ctx.assembler(), b);
-    } else {
-      assemble_mna(netlist, map, result.x, x_prev_step, stamp,
-                   ctx.dense().matrix(), b);
-    }
+    assemble_mna(netlist, map, result.x, x_prev_step, stamp, ctx.assembler(),
+                 b);
     PhaseClock::time_point t1;
     if (pt != nullptr) {
       t1 = PhaseClock::now();

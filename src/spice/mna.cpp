@@ -66,22 +66,12 @@ double switch_conductance(const Switch& sw, double vctrl) {
   return g_off * std::pow(g_on / g_off, smooth);
 }
 
-/// Matrix-entry sinks for the templated stamper: the dense target adds
-/// into an n*n numeric::Matrix, the sparse one records CSR triplets.
-struct DenseTarget {
-  numeric::Matrix& a;
-  void add(std::size_t r, std::size_t c, double v) { a(r, c) += v; }
-};
-
-struct SparseTarget {
-  numeric::SparseAssembler& a;
-  void add(std::size_t r, std::size_t c, double v) { a.add(r, c, v); }
-};
-
-template <typename Target>
+/// Stamps device contributions into the sparse assembler (matrix) and
+/// the right-hand side.
 class Stamper {
  public:
-  Stamper(const MnaMap& map, Target a, std::vector<double>& b)
+  Stamper(const MnaMap& map, numeric::SparseAssembler& a,
+          std::vector<double>& b)
       : map_(map), a_(a), b_(b) {}
 
   void conductance(NodeId na, NodeId nb, double g) {
@@ -176,7 +166,7 @@ class Stamper {
   static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
 
   const MnaMap& map_;
-  Target a_;
+  numeric::SparseAssembler& a_;
   std::vector<double>& b_;
 };
 
@@ -242,14 +232,12 @@ void append_mos_plan(MosStampPlan& plan, const numeric::SparseAssembler& a,
   plan.b_ptr.push_back(static_cast<std::int32_t>(plan.b_node.size()));
 }
 
-template <typename Target>
 void assemble_into(const Netlist& netlist, const MnaMap& map,
                    const std::vector<double>& x,
                    const std::vector<double>& x_prev_step,
-                   const StampOptions& options, Target target,
+                   const StampOptions& options, numeric::SparseAssembler& a,
                    std::vector<double>& b) {
-  constexpr bool kSparse = std::is_same_v<Target, SparseTarget>;
-  Stamper<Target> stamp(map, target, b);
+  Stamper stamp(map, a, b);
 
   if (options.prepare_assembly != nullptr) (*options.prepare_assembly)(x);
 
@@ -257,61 +245,54 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   // each MOSFET's Stamper walk with a precompiled flat loop; the first
   // trusted round after a freeze (or a stream-tag change) runs the full
   // walk once and captures the plan from the frozen slots.
-  MosStampPlan* plan = nullptr;
+  MosStampPlan* const plan = options.mos_plan;
   bool plan_apply = false;
   bool plan_capture = false;
   const double* comp_flat = nullptr;
-  if constexpr (kSparse) {
-    plan = options.mos_plan;
-    if (plan != nullptr && options.mos_companions != nullptr &&
-        target.a.fast_active()) {
-      comp_flat =
-          reinterpret_cast<const double*>(options.mos_companions->data());
-      if (plan->ready && plan->tag == options.stream_tag) {
-        plan_apply = true;
-      } else {
-        plan_capture = true;
-        plan->ready = false;
-        plan->slot.clear();
-        plan->sign.clear();
-        plan->src.clear();
-        plan->b_node.clear();
-        plan->b_sign.clear();
-        plan->b_src.clear();
-        plan->mat_ptr.assign(1, 0);
-        plan->b_ptr.assign(1, 0);
-      }
+  if (plan != nullptr && options.mos_companions != nullptr &&
+      a.fast_active()) {
+    comp_flat = reinterpret_cast<const double*>(options.mos_companions->data());
+    if (plan->ready && plan->tag == options.stream_tag) {
+      plan_apply = true;
+    } else {
+      plan_capture = true;
+      plan->ready = false;
+      plan->slot.clear();
+      plan->sign.clear();
+      plan->src.clear();
+      plan->b_node.clear();
+      plan->b_sign.clear();
+      plan->b_src.clear();
+      plan->mat_ptr.assign(1, 0);
+      plan->b_ptr.assign(1, 0);
     }
   }
 
   // Node-to-ground shunts keep otherwise-floating nodes solvable and
   // implement gmin stepping.
   for (std::size_t i = 0; i < map.node_unknowns(); ++i)
-    target.add(i, i, options.gshunt);
+    a.add(i, i, options.gshunt);
 
-  std::size_t cap_index = 0;
   std::size_t mos_index = 0;
   std::size_t branch_seq = 0;  // branch_at occurrence counter
 
   for (const auto& device : netlist.devices()) {
     std::size_t mat0 = 0;
-    if constexpr (kSparse) {
-      if (plan_apply && std::holds_alternative<Mosfet>(device)) {
-        const std::size_t m = mos_index++;
-        const auto p0 = static_cast<std::size_t>(plan->mat_ptr[m]);
-        const auto p1 = static_cast<std::size_t>(plan->mat_ptr[m + 1]);
-        target.a.apply_plan(plan->slot.data() + p0, plan->sign.data() + p0,
-                            plan->src.data() + p0, p1 - p0, comp_flat);
-        const auto q1 = static_cast<std::size_t>(plan->b_ptr[m + 1]);
-        for (auto k = static_cast<std::size_t>(plan->b_ptr[m]); k < q1; ++k)
-          b[static_cast<std::size_t>(plan->b_node[k])] +=
-              plan->b_sign[k] * comp_flat[static_cast<std::size_t>(
-                                    plan->b_src[k])];
-        continue;
-      }
-      if (plan_capture && std::holds_alternative<Mosfet>(device))
-        mat0 = target.a.cursor();
+    if (plan_apply && std::holds_alternative<Mosfet>(device)) {
+      const std::size_t m = mos_index++;
+      const auto p0 = static_cast<std::size_t>(plan->mat_ptr[m]);
+      const auto p1 = static_cast<std::size_t>(plan->mat_ptr[m + 1]);
+      a.apply_plan(plan->slot.data() + p0, plan->sign.data() + p0,
+                   plan->src.data() + p0, p1 - p0, comp_flat);
+      const auto q1 = static_cast<std::size_t>(plan->b_ptr[m + 1]);
+      for (auto k = static_cast<std::size_t>(plan->b_ptr[m]); k < q1; ++k)
+        b[static_cast<std::size_t>(plan->b_node[k])] +=
+            plan->b_sign[k] *
+            comp_flat[static_cast<std::size_t>(plan->b_src[k])];
+      continue;
     }
+    if (plan_capture && std::holds_alternative<Mosfet>(device))
+      mat0 = a.cursor();
     const std::size_t mos_before = mos_index;
     std::visit(
         [&](const auto& d) {
@@ -320,24 +301,14 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             stamp.conductance(d.a, d.b, 1.0 / d.ohms);
           } else if constexpr (std::is_same_v<T, Capacitor>) {
             if (options.mode == AnalysisMode::kTransient) {
+              // Backward Euler companion: geq = C/dt, ieq carries the
+              // previous-step voltage.
               const double v_prev =
                   map.voltage(x_prev_step, d.a) - map.voltage(x_prev_step, d.b);
-              if (options.integrator == Integrator::kTrapezoidal &&
-                  options.cap_i_prev != nullptr) {
-                // Trapezoidal companion: i = (2C/dt)(v - v_prev) - i_prev.
-                const double geq = 2.0 * d.farads / options.dt;
-                const double i_prev = (*options.cap_i_prev)[cap_index];
-                stamp.conductance(d.a, d.b, geq);
-                stamp.current(d.b, d.a, geq * v_prev + i_prev);
-              } else {
-                // Backward Euler companion: geq = C/dt, ieq carries the
-                // previous-step voltage.
-                const double geq = d.farads / options.dt;
-                stamp.conductance(d.a, d.b, geq);
-                stamp.current(d.b, d.a, geq * v_prev);
-              }
+              const double geq = d.farads / options.dt;
+              stamp.conductance(d.a, d.b, geq);
+              stamp.current(d.b, d.a, geq * v_prev);
             }
-            ++cap_index;
           } else if constexpr (std::is_same_v<T, VoltageSource>) {
             stamp.voltage_source_rows(
                 map.branch_at(branch_seq++), d.pos, d.neg,
@@ -354,20 +325,9 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             if (options.mode == AnalysisMode::kDc) {
               stamp.inductor_rows(k, d.a, d.b, 0.0, 0.0);
             } else {
-              const double i_prev = x_prev_step[k];
-              const double v_prev =
-                  map.voltage(x_prev_step, d.a) - map.voltage(x_prev_step, d.b);
-              if (options.integrator == Integrator::kTrapezoidal &&
-                  options.cap_i_prev != nullptr) {
-                // v + v_prev = (2L/dt) (i - i_prev)
-                const double l2 = 2.0 * d.henries / options.dt;
-                stamp.inductor_rows(k, d.a, d.b, l2,
-                                    -v_prev - l2 * i_prev);
-              } else {
-                // Backward Euler: v = (L/dt) (i - i_prev)
-                const double l1 = d.henries / options.dt;
-                stamp.inductor_rows(k, d.a, d.b, l1, -l1 * i_prev);
-              }
+              // Backward Euler: v = (L/dt) (i - i_prev)
+              const double l1 = d.henries / options.dt;
+              stamp.inductor_rows(k, d.a, d.b, l1, -l1 * x_prev_step[k]);
             }
           } else if constexpr (std::is_same_v<T, Diode>) {
             const double v =
@@ -423,17 +383,13 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
           }
         },
         device);
-    if constexpr (kSparse) {
-      if (plan_capture && std::holds_alternative<Mosfet>(device))
-        append_mos_plan(*plan, target.a, mat0, map, std::get<Mosfet>(device),
-                        mos_before);
-    }
+    if (plan_capture && std::holds_alternative<Mosfet>(device))
+      append_mos_plan(*plan, a, mat0, map, std::get<Mosfet>(device),
+                      mos_before);
   }
-  if constexpr (kSparse) {
-    if (plan_capture) {
-      plan->ready = true;
-      plan->tag = options.stream_tag;
-    }
+  if (plan_capture) {
+    plan->ready = true;
+    plan->tag = options.stream_tag;
   }
 }
 
@@ -494,54 +450,13 @@ void MosKernel::prepare(const std::vector<double>& x) {
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x,
                   const std::vector<double>& x_prev_step,
-                  const StampOptions& options, numeric::Matrix& a,
-                  std::vector<double>& b) {
-  const std::size_t n = map.size();
-  if (a.rows() != n || a.cols() != n) a = numeric::Matrix(n, n);
-  a.fill(0.0);
-  b.assign(n, 0.0);
-  assemble_into(netlist, map, x, x_prev_step, options, DenseTarget{a}, b);
-}
-
-void assemble_mna(const Netlist& netlist, const MnaMap& map,
-                  const std::vector<double>& x,
-                  const std::vector<double>& x_prev_step,
                   const StampOptions& options, numeric::SparseAssembler& a,
                   std::vector<double>& b) {
   const std::size_t n = map.size();
   a.begin(n, options.stream_tag);
   b.assign(n, 0.0);
-  assemble_into(netlist, map, x, x_prev_step, options, SparseTarget{a}, b);
+  assemble_into(netlist, map, x, x_prev_step, options, a, b);
   a.finish();
-}
-
-std::vector<double> capacitor_currents(const Netlist& netlist,
-                                       const MnaMap& map,
-                                       const std::vector<double>& x,
-                                       const std::vector<double>& x_prev,
-                                       const StampOptions& options) {
-  std::vector<double> currents;
-  std::size_t cap_index = 0;
-  for (const auto& device : netlist.devices()) {
-    const auto* cap = std::get_if<Capacitor>(&device);
-    if (cap == nullptr) continue;
-    const double v = map.voltage(x, cap->a) - map.voltage(x, cap->b);
-    const double v_prev =
-        map.voltage(x_prev, cap->a) - map.voltage(x_prev, cap->b);
-    double i = 0.0;
-    if (options.dt > 0.0) {
-      if (options.integrator == Integrator::kTrapezoidal &&
-          options.cap_i_prev != nullptr) {
-        i = 2.0 * cap->farads / options.dt * (v - v_prev) -
-            (*options.cap_i_prev)[cap_index];
-      } else {
-        i = cap->farads / options.dt * (v - v_prev);
-      }
-    }
-    currents.push_back(i);
-    ++cap_index;
-  }
-  return currents;
 }
 
 }  // namespace dot::spice

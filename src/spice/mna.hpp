@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "numeric/matrix.hpp"
 #include "numeric/sparse.hpp"
 #include "spice/netlist.hpp"
 
@@ -23,13 +22,6 @@ namespace dot::spice {
 enum class AnalysisMode {
   kDc,         ///< Capacitors open (their nodes still get gshunt).
   kTransient,  ///< Capacitors become integration companions.
-};
-
-/// Time integration method for transient companions.
-enum class Integrator {
-  kBackwardEuler,  ///< Robust, strongly damped (first order).
-  kTrapezoidal,    ///< Second order; needs the previous capacitor
-                   ///< currents (supplied via StampOptions::cap_i_prev).
 };
 
 /// Precomputed Newton companion model for one MOSFET occurrence, in the
@@ -88,11 +80,9 @@ struct StampOptions {
   double source_scale = 1.0;  ///< Homotopy scale for independent sources.
   double time = 0.0;          ///< Evaluation time for source waveforms.
   AnalysisMode mode = AnalysisMode::kDc;
-  double dt = 0.0;            ///< Transient step size (mode == kTransient).
-  Integrator integrator = Integrator::kBackwardEuler;
-  /// Trapezoidal only: capacitor currents at the previous time point,
-  /// ordered by capacitor occurrence in the device list.
-  const std::vector<double>* cap_i_prev = nullptr;
+  /// Transient step size (mode == kTransient); capacitors and
+  /// inductors stamp their backward-Euler companions.
+  double dt = 0.0;
 
   // --- Fast-assembly hooks, installed by MosKernel::install (the
   // defaults run the plain Stamper walk; both assemble bit-identical
@@ -209,30 +199,15 @@ class MosKernel {
 };
 
 /// Assembles the Newton-linearized MNA system around candidate solution
-/// x (same layout as the unknown vector). For transient mode,
-/// `x_prev_step` is the converged solution of the previous time point.
-void assemble_mna(const Netlist& netlist, const MnaMap& map,
-                  const std::vector<double>& x,
-                  const std::vector<double>& x_prev_step,
-                  const StampOptions& options, numeric::Matrix& a,
-                  std::vector<double>& b);
-
-/// Sparse-stamping variant: same system, assembled as CSR triplets.
-/// No dense n*n clear; for a fixed netlist the assembler recognizes the
-/// repeated stamp sequence and scatters values straight into the frozen
-/// pattern (see numeric::SparseAssembler).
+/// x (same layout as the unknown vector) as CSR triplets. For transient
+/// mode, `x_prev_step` is the converged solution of the previous time
+/// point. There is no dense n*n clear: for a fixed netlist the
+/// assembler recognizes the repeated stamp sequence and scatters values
+/// straight into the frozen pattern (see numeric::SparseAssembler).
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x,
                   const std::vector<double>& x_prev_step,
                   const StampOptions& options, numeric::SparseAssembler& a,
                   std::vector<double>& b);
-
-/// Capacitor currents at a solved time point (same order as the
-/// capacitors appear in the device list), for trapezoidal state.
-std::vector<double> capacitor_currents(const Netlist& netlist,
-                                       const MnaMap& map,
-                                       const std::vector<double>& x,
-                                       const std::vector<double>& x_prev,
-                                       const StampOptions& options);
 
 }  // namespace dot::spice

@@ -1,10 +1,8 @@
 #include "spice/solver.hpp"
 
 #include <chrono>
-#include <string>
 
 #include "spice/resilience.hpp"
-#include "util/error.hpp"
 
 namespace dot::spice {
 
@@ -22,26 +20,12 @@ double now_seconds() {
 }
 }  // namespace
 
-SolverMode parse_solver_mode(const std::string& name) {
-  if (name == "auto") return SolverMode::kAuto;
-  if (name == "dense") return SolverMode::kDense;
-  if (name == "sparse") return SolverMode::kSparse;
-  throw util::InvalidInputError("unknown solver mode: " + name +
-                                " (expected auto|dense|sparse)");
-}
-
-const char* solver_mode_name(SolverMode mode) {
-  switch (mode) {
-    case SolverMode::kDense:
-      return "dense";
-    case SolverMode::kSparse:
-      return "sparse";
-    default:
-      return "auto";
-  }
-}
-
-bool SolverContext::factor_sparse(std::size_t n) {
+bool SolverContext::factor(std::size_t n) {
+  // Resilience hooks: per-class wall-clock deadline plus the test-only
+  // fault-injection point (both no-ops outside a campaign EvalScope).
+  EvalScope::check_deadline();
+  injection_point();
+  ++factorizations_;
   const numeric::CsrPattern& pattern = assembler_.pattern();
   const std::vector<double>& values = assembler_.values();
 
@@ -105,20 +89,6 @@ bool SolverContext::factor_sparse(std::size_t n) {
   }
   sparse_active_ = false;
   return dense_.factor(options_.pivot_epsilon);
-}
-
-bool SolverContext::factor(std::size_t n) {
-  // Resilience hooks: per-class wall-clock deadline plus the test-only
-  // fault-injection point (both no-ops outside a campaign EvalScope).
-  EvalScope::check_deadline();
-  injection_point();
-  ++factorizations_;
-  if (use_sparse(n)) return factor_sparse(n);
-  sparse_active_ = false;
-  const double t0 = phase_times_ ? now_seconds() : 0.0;
-  const bool ok = dense_.factor(options_.pivot_epsilon);
-  if (phase_times_) phase_times_->factor_numeric_seconds += now_seconds() - t0;
-  return ok;
 }
 
 void SolverContext::solve(const std::vector<double>& b,

@@ -78,14 +78,7 @@ TranStepper::TranStepper(const Netlist& netlist, const MnaMap& map,
       options_(options),
       solver_(solver),
       x_(std::move(x0)),
-      dt_(options.dt) {
-  // Trapezoidal integration needs the capacitor currents of the previous
-  // accepted point; at t = 0 (DC) they are zero.
-  std::size_t cap_count = 0;
-  for (const auto& device : netlist_.devices())
-    cap_count += std::holds_alternative<Capacitor>(device) ? 1u : 0u;
-  cap_i_.assign(cap_count, 0.0);
-}
+      dt_(options.dt) {}
 
 void TranStepper::step() {
   while (true) {
@@ -96,8 +89,6 @@ void TranStepper::step() {
     stamp_.dt = dt_;
     stamp_.time = t_next;
     stamp_.gshunt = options_.newton.gshunt;
-    stamp_.integrator = options_.integrator;
-    stamp_.cap_i_prev = &cap_i_;
 
     DcResult step =
         newton_solve(netlist_, map_, x_, stamp_, options_.newton, x_, solver_);
@@ -118,8 +109,6 @@ void TranStepper::step() {
       }
       continue;
     }
-    if (options_.integrator == Integrator::kTrapezoidal)
-      cap_i_ = capacitor_currents(netlist_, map_, step.x, x_, stamp_);
     x_ = std::move(step.x);
     t_ = t_next;
     // Recover the step size after successful steps.
@@ -133,8 +122,6 @@ bool TranStepper::gshunt_rescue() {
   stamp_.mode = AnalysisMode::kTransient;
   stamp_.dt = dt;
   stamp_.time = t_ + dt;
-  stamp_.integrator = options_.integrator;
-  stamp_.cap_i_prev = &cap_i_;
   std::vector<double> guess = x_;
   for (double g = options_.newton.gshunt_start;; g /= 10.0) {
     const bool last = g <= options_.newton.gshunt;
@@ -146,8 +133,6 @@ bool TranStepper::gshunt_rescue() {
     guess = std::move(rung.x);
     if (last) break;
   }
-  if (options_.integrator == Integrator::kTrapezoidal)
-    cap_i_ = capacitor_currents(netlist_, map_, guess, x_, stamp_);
   x_ = std::move(guess);
   t_ += dt;
   dt_ = dt;  // the normal per-step recovery doubles it back up
@@ -168,11 +153,8 @@ TranResult transient(const Netlist& netlist, const TranOptions& options) {
 
   // One solver context for the whole run: the matrix pattern is fixed,
   // so every time step after the first refactors against the cached
-  // symbolic analysis -- which is why kAuto means sparse here.
-  SolverOptions solver_options = options.solver;
-  if (solver_options.mode == SolverMode::kAuto)
-    solver_options.mode = SolverMode::kSparse;
-  SolverContext solver(solver_options);
+  // symbolic analysis.
+  SolverContext solver(options.solver);
   TranTotals* const totals = EvalScope::tran_totals();
   PhaseTimes phases;
   if (options.collect_phase_times ||

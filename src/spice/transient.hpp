@@ -18,18 +18,10 @@ struct TranOptions {
   double dt = 1e-9;
   double dt_min = 1e-13;    ///< Give up below this step size.
   DcOptions newton;         ///< Per-step Newton settings (time is ignored).
-  /// Linear-solver selection; one SolverContext is reused across all
+  /// Linear-solver settings; one SolverContext is reused across all
   /// time steps, so the sparse symbolic analysis is paid once per run.
-  /// kAuto resolves to kSparse here at every system size: a transient
-  /// refactors one pattern hundreds of times, which the cached symbolic
-  /// analysis wins even below the one-shot crossover. An explicit kDense
-  /// is respected.
   SolverOptions solver;
   bool start_from_dc = true;  ///< Solve the t=0 operating point first.
-  /// Backward Euler (default, strongly damped -- the right choice for
-  /// regenerative latches) or trapezoidal (second order, for accuracy
-  /// studies on smooth circuits).
-  Integrator integrator = Integrator::kBackwardEuler;
   /// Collect the per-phase wall-time breakdown (TranStats::phases).
   /// Off by default: the hot loop stays clock-free.
   bool collect_phase_times = false;
@@ -133,8 +125,8 @@ class TranStepper {
 
   /// Stamp template used for every assembly: transient() installs its
   /// MosKernel hooks (mos_companions / prepare_assembly / stream_tag /
-  /// mos_plan) here. Per-step fields (mode, dt, time, gshunt,
-  /// integrator, cap_i_prev) are overwritten by step().
+  /// mos_plan) here. Per-step fields (mode, dt, time, gshunt) are
+  /// overwritten by step().
   StampOptions& stamp_overrides() { return stamp_; }
 
  private:
@@ -153,7 +145,6 @@ class TranStepper {
   SolverContext* solver_;
   StampOptions stamp_;
   std::vector<double> x_;
-  std::vector<double> cap_i_;
   double t_ = 0.0;
   double dt_ = 0.0;
   std::size_t newton_iterations_ = 0;

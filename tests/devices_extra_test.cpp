@@ -114,7 +114,6 @@ TEST(Inductor, TransientSteadyStateMatchesAc) {
   TranOptions tr;
   tr.t_stop = 200e-6;  // many periods; Q ~ 5 settles in ~10 periods
   tr.dt = 20e-9;
-  tr.integrator = Integrator::kTrapezoidal;
   const auto r = transient(n, tr);
   double peak = 0.0;
   for (std::size_t i = 0; i < r.steps(); ++i)

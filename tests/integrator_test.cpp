@@ -1,6 +1,6 @@
-// Integration-method tests: trapezoidal must be markedly more accurate
-// than backward Euler on smooth circuits at the same step size, and its
-// order of accuracy must be ~2 versus ~1.
+// Integration-method test: backward Euler, the transient engine's one
+// integrator, must show its first order of accuracy on a smooth
+// circuit -- halving the step halves the error.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +13,9 @@ namespace {
 
 /// RC low-pass driven by a sine from rest: error against the full
 /// analytic solution (forced response + decaying transient) at t_stop.
-/// The excitation is smooth, so the integrators exhibit their nominal
-/// orders (a step input would limit both to first order globally).
-double rc_sine_error(Integrator integrator, double dt) {
+/// The excitation is smooth, so the integrator exhibits its nominal
+/// order.
+double rc_sine_error(double dt) {
   constexpr double kR = 1e3, kC = 1e-6, kF = 200.0;
   SineParams sp;
   sp.amplitude = 1.0;
@@ -27,7 +27,6 @@ double rc_sine_error(Integrator integrator, double dt) {
   TranOptions opt;
   opt.t_stop = 2e-3;
   opt.dt = dt;
-  opt.integrator = integrator;
   const auto result = transient(n, opt);
 
   const double tau = kR * kC;
@@ -40,73 +39,11 @@ double rc_sine_error(Integrator integrator, double dt) {
   return std::fabs(result.voltage(result.steps() - 1, "out") - expected);
 }
 
-TEST(Integrator, TrapezoidalBeatsBackwardEuler) {
-  const double dt = 20e-6;
-  const double be = rc_sine_error(Integrator::kBackwardEuler, dt);
-  const double trap = rc_sine_error(Integrator::kTrapezoidal, dt);
-  EXPECT_LT(trap, be / 20.0);
-}
-
 TEST(Integrator, ObservedOrders) {
-  // Halving the step should roughly halve BE's error and quarter TRAP's.
-  const double be1 = rc_sine_error(Integrator::kBackwardEuler, 40e-6);
-  const double be2 = rc_sine_error(Integrator::kBackwardEuler, 20e-6);
+  // Halving the step should roughly halve the error.
+  const double be1 = rc_sine_error(40e-6);
+  const double be2 = rc_sine_error(20e-6);
   EXPECT_NEAR(be1 / be2, 2.0, 0.4);
-  const double tr1 = rc_sine_error(Integrator::kTrapezoidal, 40e-6);
-  const double tr2 = rc_sine_error(Integrator::kTrapezoidal, 20e-6);
-  EXPECT_NEAR(tr1 / tr2, 4.0, 1.2);
-}
-
-TEST(Integrator, TrapezoidalLcOscillatorHoldsAmplitude) {
-  // Series RLC is not supported (no inductor), but an RC relaxation with
-  // a sine source exercises the phase accuracy: TRAP tracks a sine much
-  // more closely at coarse steps.
-  SineParams sp;
-  sp.offset = 0.0;
-  sp.amplitude = 1.0;
-  sp.freq_hz = 1e3;
-  Netlist n;
-  n.add_vsource("V1", "in", "0", SourceSpec::sine(sp));
-  n.add_resistor("R1", "in", "out", 1e3);
-  n.add_capacitor("C1", "out", "0", 0.1e-6);  // pole above the tone
-  TranOptions opt;
-  opt.t_stop = 2e-3;
-  opt.dt = 20e-6;
-  opt.integrator = Integrator::kTrapezoidal;
-  const auto result = transient(n, opt);
-  // Steady-state amplitude ~ 1/sqrt(1+(2*pi*f*RC)^2) = 0.847.
-  double peak = 0.0;
-  for (std::size_t i = result.steps() / 2; i < result.steps(); ++i)
-    peak = std::max(peak, std::fabs(result.voltage(i, "out")));
-  EXPECT_NEAR(peak, 0.847, 0.03);
-}
-
-TEST(Integrator, ComparatorStillResolvesWithTrapezoidal) {
-  // The clocked comparator relies on damped dynamics; TRAP must not be
-  // the default, but the engine should still run it without blowing up
-  // on a plain RC-loaded inverter.
-  Netlist n;
-  n.add_vsource("VDD", "vdd", "0", SourceSpec::dc(5.0));
-  PulseParams p;
-  p.initial = 0.0;
-  p.pulsed = 5.0;
-  p.delay = 10e-9;
-  p.rise = 1e-9;
-  p.fall = 1e-9;
-  p.width = 20e-9;
-  n.add_vsource("VIN", "in", "0", SourceSpec::pulse(p));
-  MosModel m;
-  n.add_mosfet("MN", MosType::kNmos, "out", "in", "0", "0", 4e-6, 1e-6, m);
-  n.add_mosfet("MP", MosType::kPmos, "out", "in", "vdd", "vdd", 8e-6, 1e-6,
-               m);
-  n.add_capacitor("CL", "out", "0", 100e-15);
-  TranOptions opt;
-  opt.t_stop = 40e-9;
-  opt.dt = 0.2e-9;
-  opt.integrator = Integrator::kTrapezoidal;
-  const auto result = transient(n, opt);
-  EXPECT_GT(result.voltage_at(9e-9, "out"), 4.8);
-  EXPECT_LT(result.voltage_at(25e-9, "out"), 0.2);
 }
 
 }  // namespace

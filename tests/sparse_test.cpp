@@ -17,8 +17,8 @@
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "dense_reference.hpp"
 
 namespace dot {
 namespace {
@@ -290,9 +290,7 @@ spice::Netlist mos_array_netlist(int cells) {
 TEST(SolverContext, SymbolicAnalysisSharedAcrossSolves) {
   const spice::Netlist n = mos_array_netlist(20);
   const spice::MnaMap map(n);
-  spice::SolverOptions opts;
-  opts.mode = spice::SolverMode::kSparse;
-  spice::SolverContext ctx(opts);
+  spice::SolverContext ctx;
 
   const auto golden = spice::dc_operating_point(n, map, {}, nullptr, &ctx);
   ASSERT_TRUE(golden.converged);
@@ -325,8 +323,7 @@ TEST(SolverContext, SymbolicAnalysisSharedAcrossSolves) {
 TEST(SolverContext, SeededContextSkipsAnalysis) {
   const spice::Netlist n = mos_array_netlist(12);
   const spice::MnaMap map(n);
-  spice::SolverOptions opts;
-  opts.mode = spice::SolverMode::kSparse;
+  const spice::SolverOptions opts;
   spice::SolverContext golden_ctx(opts);
   const auto golden =
       spice::dc_operating_point(n, map, {}, nullptr, &golden_ctx);
@@ -347,21 +344,16 @@ TEST(SolverContext, SeededContextSkipsAnalysis) {
 TEST(SolverContext, SparseMatchesDenseOnMosNetlist) {
   const spice::Netlist n = mos_array_netlist(25);
   const spice::MnaMap map(n);
-  spice::SolverOptions dense_opts;
-  dense_opts.mode = spice::SolverMode::kDense;
-  spice::SolverOptions sparse_opts;
-  sparse_opts.mode = spice::SolverMode::kSparse;
-  spice::SolverContext dense_ctx(dense_opts);
-  spice::SolverContext sparse_ctx(sparse_opts);
-
-  const auto dense = spice::dc_operating_point(n, map, {}, nullptr, &dense_ctx);
-  const auto sparse =
-      spice::dc_operating_point(n, map, {}, nullptr, &sparse_ctx);
-  ASSERT_TRUE(dense.converged);
+  spice::SolverContext ctx;
+  const auto sparse = spice::dc_operating_point(n, map, {}, nullptr, &ctx);
   ASSERT_TRUE(sparse.converged);
-  ASSERT_EQ(dense.x.size(), sparse.x.size());
-  for (std::size_t i = 0; i < dense.x.size(); ++i)
-    EXPECT_NEAR(dense.x[i], sparse.x[i], 1e-8);
+  EXPECT_TRUE(ctx.sparse_active());
+  // Dense-LU Newton started at the sparse operating point stays on it.
+  const std::vector<double> dense =
+      testing_support::dense_dc_newton(n, map, sparse.x);
+  ASSERT_EQ(dense.size(), sparse.x.size());
+  for (std::size_t i = 0; i < dense.size(); ++i)
+    EXPECT_NEAR(dense[i], sparse.x[i], 1e-8);
 }
 
 TEST(SolverContext, LargeNetlistConvergesSparse) {
@@ -369,24 +361,12 @@ TEST(SolverContext, LargeNetlistConvergesSparse) {
   const spice::Netlist n = mos_array_netlist(60);
   const spice::MnaMap map(n);
   ASSERT_GE(map.size(), 100u);
-  spice::SolverOptions opts;
-  opts.mode = spice::SolverMode::kSparse;
-  spice::SolverContext ctx(opts);
+  spice::SolverContext ctx;
   const auto result = spice::dc_operating_point(n, map, {}, nullptr, &ctx);
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(ctx.sparse_active());
   // Sanity: the supply rail solves to its source value.
   EXPECT_NEAR(map.voltage(result.x, *n.find_node("vdd")), 3.3, 1e-6);
-}
-
-TEST(SolverMode, ParseAndName) {
-  EXPECT_EQ(spice::parse_solver_mode("auto"), spice::SolverMode::kAuto);
-  EXPECT_EQ(spice::parse_solver_mode("dense"), spice::SolverMode::kDense);
-  EXPECT_EQ(spice::parse_solver_mode("sparse"), spice::SolverMode::kSparse);
-  EXPECT_STREQ(spice::solver_mode_name(spice::SolverMode::kAuto), "auto");
-  EXPECT_STREQ(spice::solver_mode_name(spice::SolverMode::kDense), "dense");
-  EXPECT_STREQ(spice::solver_mode_name(spice::SolverMode::kSparse), "sparse");
-  EXPECT_THROW(spice::parse_solver_mode("shur"), util::InvalidInputError);
 }
 
 }  // namespace
