@@ -22,7 +22,6 @@
 
 #include "bench_common.hpp"
 #include "flashadc/bank.hpp"
-#include "flashadc/tech.hpp"
 #include "spice/transient.hpp"
 
 namespace {
@@ -45,12 +44,7 @@ struct Sample {
 TranStats timed_run(const dot::spice::Netlist& bench,
                     const dot::spice::SolverOptions& solver, int reps,
                     double& wall_ms) {
-  TranOptions opt;
-  opt.t_stop = 2.0 * dot::flashadc::kCyclePeriod;
-  opt.dt = 0.5e-9;
-  opt.dt_min = 1e-13;
-  opt.newton.max_iterations = 120;
-  opt.start_from_dc = false;
+  TranOptions opt = dot::flashadc::bank_tran_options();
   opt.solver = solver;
   TranStats stats;
   const WallTimer timer;

@@ -1,17 +1,23 @@
 // google-benchmark microbenchmarks of the computational kernels: MNA
-// assembly + LU solve, DC operating points, clocked transients, defect
+// assembly + LU solve, DC operating points, clocked transients, one
+// transient Newton iteration and one sparse refactorization, defect
 // analysis and sprinkling, and the behavioral missing-code test. These
 // bound how large a campaign a given time budget affords.
 #include <benchmark/benchmark.h>
 
 #include "defect/analyze.hpp"
 #include "defect/simulate.hpp"
+#include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
 #include "flashadc/ladder.hpp"
+#include "flashadc/tech.hpp"
 #include "numeric/lu.hpp"
+#include "numeric/sparse.hpp"
 #include "spice/dc.hpp"
+#include "spice/mna.hpp"
+#include "spice/transient.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -51,6 +57,95 @@ void BM_ComparatorTransient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComparatorTransient)->Unit(benchmark::kMillisecond);
+
+/// A column bench (comparator, or an 8-slice bank at its middle
+/// slice), its transient options and its waveform: the state the
+/// per-iteration benchmarks start from.
+struct ColumnRun {
+  spice::Netlist bench;
+  spice::TranOptions options;
+  spice::TranResult run;
+  std::size_t step = 0;  ///< First accepted step of the latch phase.
+};
+
+ColumnRun column_run(bool bank) {
+  flashadc::BankOptions bank_options;
+  bank_options.size = 8;
+  spice::Netlist bench =
+      bank ? flashadc::instantiate_bank_bench(
+                 flashadc::build_bank_macro(bank_options).netlist,
+                 bank_options, bank_options.size / 2, 0.009)
+           : flashadc::instantiate_comparator_bench(
+                 flashadc::build_comparator_netlist(), 0.009);
+  spice::TranOptions options = bank ? flashadc::bank_tran_options()
+                                    : flashadc::comparator_tran_options();
+  spice::TranResult run = spice::transient(bench, options);
+  std::size_t step = 0;
+  while (run.time(step) < flashadc::kLatchStart) ++step;
+  return {std::move(bench), options, std::move(run), step};
+}
+
+// One time step's Newton solve per benchmark iteration, from the
+// state where the first latch phase starts, assembled through a
+// MosKernel as transient() does: the per-iteration cost of the Newton
+// loop (device eval, assembly, factor, solve) without the phase timers.
+// `newton_iters` is the iterations per solve, `s_per_iter` the time per
+// iteration.
+void BM_NewtonIteration(benchmark::State& state, bool bank) {
+  const ColumnRun c = column_run(bank);
+  const std::size_t s = c.step;
+  const spice::MnaMap map(c.bench);
+  spice::SolverContext ctx(c.options.solver);
+  spice::MosKernel kernel(c.bench, map);
+  spice::StampOptions stamp;
+  stamp.mode = spice::AnalysisMode::kTransient;
+  stamp.time = c.run.time(s + 1);
+  stamp.dt = c.run.time(s + 1) - c.run.time(s);
+  stamp.gshunt = c.options.newton.gshunt;
+  kernel.install(stamp, spice::kTransientStreamTag);
+  std::vector<double> guess;
+  double iterations = 0.0;
+  for (auto _ : state) {
+    guess = c.run.state(s);
+    spice::DcResult r =
+        spice::newton_solve(c.bench, map, std::move(guess), stamp,
+                            c.options.newton, c.run.state(s), &ctx);
+    benchmark::DoNotOptimize(r.x.data());
+    iterations += r.iterations;
+    guess = std::move(r.x);
+  }
+  state.counters["newton_iters"] =
+      iterations / static_cast<double>(state.iterations());
+  state.counters["s_per_iter"] = benchmark::Counter(
+      iterations, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_NewtonIteration, comparator, false);
+BENCHMARK_CAPTURE(BM_NewtonIteration, bank8, true);
+
+// The numeric sparse refactorization alone, on the matrix of the same
+// state, against its cached symbolic analysis.
+void BM_Refactor(benchmark::State& state, bool bank) {
+  const ColumnRun c = column_run(bank);
+  const std::size_t s = c.step;
+  const spice::MnaMap map(c.bench);
+  spice::StampOptions stamp;
+  stamp.mode = spice::AnalysisMode::kTransient;
+  stamp.time = c.run.time(s + 1);
+  stamp.dt = c.run.time(s + 1) - c.run.time(s);
+  numeric::SparseAssembler a;
+  std::vector<double> b;
+  spice::assemble_mna(c.bench, map, c.run.state(s), c.run.state(s), stamp, a,
+                      b);
+  const auto symbolic =
+      numeric::SparseSymbolic::analyze(a.pattern(), a.values());
+  numeric::SparseFactors factors;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(factors.refactor(symbolic, a.values()));
+  state.counters["n"] = static_cast<double>(map.size());
+  state.counters["factor_nnz"] = static_cast<double>(symbolic->factor_nnz());
+}
+BENCHMARK_CAPTURE(BM_Refactor, comparator, false);
+BENCHMARK_CAPTURE(BM_Refactor, bank8, true);
 
 void BM_LadderDc(benchmark::State& state) {
   const auto macro = flashadc::build_ladder_netlist();

@@ -330,7 +330,7 @@ Netlist instantiate_bank_bench(const Netlist& macro_netlist,
 
 spice::TranOptions bank_tran_options() {
   spice::TranOptions opt;
-  opt.t_stop = 2.0 * kCyclePeriod;
+  opt.t_stop = kColumnTranStop;
   opt.dt = 0.5e-9;
   opt.dt_min = 1e-13;
   opt.newton.max_iterations = 120;

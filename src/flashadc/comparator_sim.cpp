@@ -83,7 +83,7 @@ Netlist instantiate_comparator_bench(const Netlist& macro, double delta_v) {
 
 spice::TranOptions comparator_tran_options() {
   spice::TranOptions opt;
-  opt.t_stop = 2.0 * kCyclePeriod;
+  opt.t_stop = kColumnTranStop;
   opt.dt = 0.5e-9;
   opt.dt_min = 1e-13;
   opt.newton.max_iterations = 120;

@@ -28,6 +28,11 @@ inline constexpr double kLatchStart = 75e-9, kLatchEnd = 95e-9;
 inline constexpr double kMeasSample = kCyclePeriod + 20e-9;
 inline constexpr double kMeasAmp = kCyclePeriod + 57e-9;
 inline constexpr double kMeasLatch = kCyclePeriod + 85e-9;
+/// End of a column bench transient (comparator, bank, chip): 1 ns past
+/// the latest instant any measurement reads (kMeasLatch; the decision
+/// read sits earlier, in the amplification phase). Stepping is causal,
+/// so every point up to here is the same as in a longer run.
+inline constexpr double kColumnTranStop = kMeasLatch + 1e-9;
 
 /// Clock edges.
 inline constexpr double kClockEdge = 2e-9;

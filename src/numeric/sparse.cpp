@@ -34,6 +34,19 @@ void SparseAssemblerT<Scalar>::begin(std::size_t n, std::uint32_t stream_tag) {
 }
 
 template <typename Scalar>
+void SparseAssemblerT<Scalar>::replay(const std::vector<std::int32_t>& src,
+                                      const std::vector<Scalar>& table) {
+  if (!fast_ || fast_index_ != 0 || src.size() != slot_.size())
+    throw std::logic_error(
+        "SparseAssemblerT: replay does not match the trusted stream");
+  const std::size_t m = src.size();
+  for (std::size_t p = 0; p < m; ++p)
+    values_[static_cast<std::size_t>(slot_[p])] +=
+        table[static_cast<std::size_t>(src[p])];
+  fast_index_ = m;
+}
+
+template <typename Scalar>
 void SparseAssemblerT<Scalar>::finish() {
   if (fast_) {
     if (fast_index_ != frozen_codes_.size())
@@ -289,7 +302,68 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
     sym->l_ptr.push_back(static_cast<std::int32_t>(sym->l_rows.size()));
     sym->u_ptr.push_back(static_cast<std::int32_t>(sym->u_rows.size()));
   }
+  sym->compile_schedule();
   return sym;
+}
+
+void SparseSymbolic::compile_schedule() {
+  const std::int32_t n = static_cast<std::int32_t>(pattern.n);
+  col_slot.assign(1, 0);
+  piv_slot.clear();
+  for (std::int32_t j = 0; j < n; ++j) {
+    const std::int32_t base = col_slot.back();
+    piv_slot.push_back(base + u_ptr[j + 1] - u_ptr[j]);
+    col_slot.push_back(piv_slot.back() + 1 + l_ptr[j + 1] - l_ptr[j]);
+  }
+  l_pos.resize(l_rows.size());
+  for (std::size_t li = 0; li < l_rows.size(); ++li)
+    l_pos[li] = pinv[l_rows[li]];
+  a_slot.assign(pattern.nnz(), -1);
+  fill_slots.clear();
+  upd_ptr.assign(1, 0);
+  upd_src.clear();
+  upd_l.clear();
+  op_ptr.assign(1, 0);
+  op_dst.clear();
+
+  // slot[r]: the slot row r occupies in the column being compiled (every
+  // row of a column's reach is exactly one of its U, pivot or L entries).
+  std::vector<std::int32_t> slot(n, -1);
+  std::vector<char> from_a(n, 0);
+  for (std::int32_t j = 0; j < n; ++j) {
+    for (std::int32_t ui = u_ptr[j]; ui < u_ptr[j + 1]; ++ui)
+      slot[u_rows[ui]] = col_slot[j] + ui - u_ptr[j];
+    slot[pivrow[j]] = piv_slot[j];
+    for (std::int32_t li = l_ptr[j]; li < l_ptr[j + 1]; ++li)
+      slot[l_rows[li]] = piv_slot[j] + 1 + li - l_ptr[j];
+
+    const std::int32_t col = qperm[j];
+    for (std::int32_t idx = csc_ptr[col]; idx < csc_ptr[col + 1]; ++idx) {
+      a_slot[csc_csr[idx]] = slot[csc_rows[idx]];
+      from_a[csc_rows[idx]] = 1;
+    }
+    for (std::int32_t t = topo_ptr[j]; t < topo_ptr[j + 1]; ++t) {
+      const std::int32_t r = topo_rows[t];
+      if (!from_a[r]) fill_slots.push_back(slot[r]);
+    }
+    for (std::int32_t idx = csc_ptr[col]; idx < csc_ptr[col + 1]; ++idx)
+      from_a[csc_rows[idx]] = 0;
+
+    // The left-looking updates in topological order: every row already
+    // pivoted at an earlier column k carries U(k, j) and subtracts L's
+    // column k, scaled by it, from the rest of the reach.
+    for (std::int32_t t = topo_ptr[j]; t < topo_ptr[j + 1]; ++t) {
+      const std::int32_t r = topo_rows[t];
+      const std::int32_t k = pinv[r];
+      if (k >= j) continue;
+      upd_src.push_back(slot[r]);
+      upd_l.push_back(piv_slot[k] + 1);
+      for (std::int32_t li = l_ptr[k]; li < l_ptr[k + 1]; ++li)
+        op_dst.push_back(slot[l_rows[li]]);
+      op_ptr.push_back(static_cast<std::int32_t>(op_dst.size()));
+    }
+    upd_ptr.push_back(static_cast<std::int32_t>(upd_src.size()));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -298,36 +372,34 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
 
 template <typename Scalar>
 bool SparseFactorsT<Scalar>::refactor(
-    std::shared_ptr<const SparseSymbolic> symbolic,
+    const std::shared_ptr<const SparseSymbolic>& symbolic,
     const std::vector<Scalar>& csr_values, double pivot_epsilon) {
   const SparseSymbolic& s = *symbolic;
   const std::int32_t n = static_cast<std::int32_t>(s.pattern.n);
   if (csr_values.size() != s.pattern.nnz())
     throw std::invalid_argument("SparseFactorsT::refactor: values size");
 
-  l_vals_.resize(s.l_rows.size());
-  u_vals_.resize(s.u_rows.size());
-  udiag_.resize(n);
-  x_.assign(n, Scalar(0));
-  z_.resize(n);
+  ws_.resize(s.factor_nnz());
+  z_.resize(static_cast<std::size_t>(n));
+  Scalar* const ws = ws_.data();
   min_abs_pivot_ = n > 0 ? std::numeric_limits<double>::infinity() : 0.0;
 
+  for (const std::int32_t slot : s.fill_slots) ws[slot] = Scalar(0);
+  const std::size_t nnz = csr_values.size();
+  for (std::size_t idx = 0; idx < nnz; ++idx)
+    ws[s.a_slot[idx]] = csr_values[idx];
+
+  const std::int32_t* const op_dst = s.op_dst.data();
   for (std::int32_t j = 0; j < n; ++j) {
-    const std::int32_t col = s.qperm[j];
-    for (std::int32_t t = s.topo_ptr[j]; t < s.topo_ptr[j + 1]; ++t)
-      x_[s.topo_rows[t]] = Scalar(0);
-    for (std::int32_t idx = s.csc_ptr[col]; idx < s.csc_ptr[col + 1]; ++idx)
-      x_[s.csc_rows[idx]] = csr_values[s.csc_csr[idx]];
-    for (std::int32_t t = s.topo_ptr[j]; t < s.topo_ptr[j + 1]; ++t) {
-      const std::int32_t r = s.topo_rows[t];
-      const std::int32_t k = s.pinv[r];
-      if (k >= j) continue;
-      const Scalar xr = x_[r];
+    for (std::int32_t u = s.upd_ptr[j]; u < s.upd_ptr[j + 1]; ++u) {
+      const Scalar xr = ws[s.upd_src[u]];
       if (xr == Scalar(0)) continue;
-      for (std::int32_t li = s.l_ptr[k]; li < s.l_ptr[k + 1]; ++li)
-        x_[s.l_rows[li]] -= l_vals_[li] * xr;
+      const std::int32_t to_l = s.upd_l[u] - s.op_ptr[u];
+      for (std::int32_t o = s.op_ptr[u]; o < s.op_ptr[u + 1]; ++o)
+        ws[op_dst[o]] -= ws[o + to_l] * xr;
     }
-    const Scalar piv = x_[s.pivrow[j]];
+    const std::int32_t pslot = s.piv_slot[j];
+    const Scalar piv = ws[pslot];
     const double mag = std::abs(piv);
     if (mag <= pivot_epsilon) {
       symbolic_.reset();
@@ -335,14 +407,11 @@ bool SparseFactorsT<Scalar>::refactor(
       return false;
     }
     min_abs_pivot_ = std::min(min_abs_pivot_, mag);
-    udiag_[j] = piv;
     const Scalar inv_piv = Scalar(1) / piv;
-    for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui)
-      u_vals_[ui] = x_[s.u_rows[ui]];
-    for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li)
-      l_vals_[li] = x_[s.l_rows[li]] * inv_piv;
+    for (std::int32_t slot = pslot + 1; slot < s.col_slot[j + 1]; ++slot)
+      ws[slot] = ws[slot] * inv_piv;
   }
-  symbolic_ = std::move(symbolic);
+  if (symbolic_ != symbolic) symbolic_ = symbolic;
   return true;
 }
 
@@ -357,25 +426,33 @@ void SparseFactorsT<Scalar>::solve_into(const std::vector<Scalar>& b,
   if (b.size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("SparseFactorsT::solve_into: rhs size");
 
-  x.assign(b.begin(), b.end());
-  // Forward substitution L z = P b, running in original-row space.
+  // Substitution in pivot space (y[k] is row pivrow[k]): the same
+  // operations as in original-row space, with one indirection less.
+  const Scalar* const ws = ws_.data();
+  Scalar* const y = z_.data();
+  for (std::int32_t j = 0; j < n; ++j) y[j] = b[s.pivrow[j]];
+  // Forward substitution L z = P b.
   for (std::int32_t j = 0; j < n; ++j) {
-    const Scalar xj = x[s.pivrow[j]];
-    if (xj == Scalar(0)) continue;
+    const Scalar yj = y[j];
+    if (yj == Scalar(0)) continue;
+    const Scalar* const l = ws + s.piv_slot[j] + 1 - s.l_ptr[j];
     for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li)
-      x[s.l_rows[li]] -= l_vals_[li] * xj;
+      y[s.l_pos[li]] -= l[li] * yj;
   }
-  // Back substitution U y = z in pivot space; U's off-diagonals are
-  // stored column-wise with their pivot positions.
+  // Back substitution U y = z; U's off-diagonals are stored
+  // column-wise with their pivot positions. y[j] becomes the solution
+  // of factor column j.
   for (std::int32_t j = n - 1; j >= 0; --j) {
-    const Scalar zj = x[s.pivrow[j]] / udiag_[j];
-    z_[j] = zj;
+    const Scalar zj = y[j] / ws[s.piv_slot[j]];
+    y[j] = zj;
     if (zj == Scalar(0)) continue;
+    const Scalar* const u = ws + s.col_slot[j] - s.u_ptr[j];
     for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui)
-      x[s.pivrow[s.u_pos[ui]]] -= u_vals_[ui] * zj;
+      y[s.u_pos[ui]] -= u[ui] * zj;
   }
   // Undo the column permutation: factor column j is A column qperm[j].
-  for (std::int32_t j = 0; j < n; ++j) x[s.qperm[j]] = z_[j];
+  x.resize(static_cast<std::size_t>(n));
+  for (std::int32_t j = 0; j < n; ++j) x[s.qperm[j]] = y[j];
 }
 
 // Explicit instantiations: the real (DC/transient) and complex (AC)

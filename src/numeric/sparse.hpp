@@ -14,11 +14,13 @@
 //  - SparseSymbolic: one-time "analyze" pass (Gilbert-Peierls LU with
 //    threshold partial pivoting on a representative numeric matrix)
 //    that records the column ordering, the pivot sequence and the fill
-//    pattern of L and U. Immutable and shareable across threads: the
+//    pattern of L and U, and compiles them into a flat refactor
+//    schedule. Immutable and shareable across threads: the
 //    per-macro campaign contexts cache it for the golden netlist.
 //  - SparseFactorsT: fast numeric *refactorization* over a cached
-//    SparseSymbolic -- fixed pattern, fixed pivots, pure flops. This is
-//    the per-Newton-iteration hot path. A pivot that collapses below
+//    SparseSymbolic -- fixed pattern, fixed pivots, pure flops replayed
+//    from the flat schedule in one in-place workspace. This is the
+//    per-Newton-iteration hot path. A pivot that collapses below
 //    epsilon (values drifted too far from the analyzed matrix) makes
 //    refactor() fail so the caller can re-analyze or fall back to the
 //    dense partial-pivoting solver.
@@ -59,9 +61,9 @@ struct CsrPattern {
 /// same tag (a fixed netlist stamped in a fixed analysis mode). The
 /// assembler then skips the code push and comparison entirely and
 /// scatters each add() straight into its cached CSR slot -- the
-/// transient engine's hot path (spice::MosKernel). Accumulation order
-/// is unchanged (stream order into slots), so the values are
-/// bit-identical to the checked path. A tag or size change refreezes
+/// transient engine's hot path (spice::MosKernel, spice::StampProgram).
+/// Accumulation order is unchanged (stream order into slots), so the
+/// values are bit-identical to the checked path. A tag or size change refreezes
 /// from scratch; tag 0 always runs the checked path.
 template <typename Scalar>
 class SparseAssemblerT {
@@ -75,29 +77,18 @@ class SparseAssemblerT {
     codes_.push_back(static_cast<std::uint64_t>(r) * n_ + c);
     vals_.push_back(v);
   }
+  /// A whole trusted round in one call, in place of every add(): stream
+  /// position p adds table[src[p]] into its frozen CSR slot, in stream
+  /// order, so each slot sums the same values in the same order as the
+  /// add() calls it replaces (spice::StampProgram). Only valid right
+  /// after a trusted begin(); throws std::logic_error when `src` does
+  /// not cover the frozen stream exactly.
+  void replay(const std::vector<std::int32_t>& src,
+              const std::vector<Scalar>& table);
   void finish();
 
-  /// Number of add() calls so far this round (device bracketing for
-  /// the stamp-plan capture in assemble_mna).
-  std::size_t cursor() const { return fast_ ? fast_index_ : vals_.size(); }
   /// Whether this round runs the trusted (slot-scatter) path.
   bool fast_active() const { return fast_; }
-  /// CSR value slot of stream position `pos` (valid once frozen; the
-  /// stamp-plan capture reads the slots its device occupied).
-  std::int32_t slot_at(std::size_t pos) const { return slot_[pos]; }
-  /// Precompiled stamp segment (see spice::MosStampPlan): applies
-  /// `count` adds as values_[slots[i]] += signs[i] * fields[srcs[i]],
-  /// advancing the trusted-stream cursor. Bit-identical to the add()
-  /// calls it replaces: the slots are the exact stream positions and
-  /// +/-1.0 multiplies are exact in IEEE arithmetic.
-  void apply_plan(const std::int32_t* slots, const double* signs,
-                  const std::int32_t* srcs, std::size_t count,
-                  const Scalar* fields) {
-    for (std::size_t i = 0; i < count; ++i)
-      values_[static_cast<std::size_t>(slots[i])] +=
-          signs[i] * fields[static_cast<std::size_t>(srcs[i])];
-    fast_index_ += count;
-  }
 
   std::size_t size() const { return n_; }
   const CsrPattern& pattern() const { return pattern_; }
@@ -132,9 +123,9 @@ std::vector<std::int32_t> minimum_degree_order(const CsrPattern& pattern);
 
 /// Result of the one-time analyze pass: column ordering (minimum
 /// degree), row pivot sequence (threshold partial pivoting on the
-/// representative matrix), fill pattern of L and U, and the scatter
-/// maps used by refactorization. Immutable after analyze(); share it
-/// across threads freely.
+/// representative matrix), fill pattern of L and U, and the flat
+/// refactor schedule compiled from them. Immutable after analyze();
+/// share it across threads freely.
 ///
 /// The raw index arrays are public for SparseFactorsT and the tests;
 /// treat them as read-only.
@@ -153,7 +144,8 @@ class SparseSymbolic {
   std::size_t l_nnz() const { return l_rows.size(); }
   std::size_t u_nnz() const { return u_rows.size() + pattern.n; }
   /// Total factor entries (L + U including the diagonal); compare with
-  /// pattern.nnz() to see the fill the ordering admitted.
+  /// pattern.nnz() to see the fill the ordering admitted. Also the
+  /// size of the refactor workspace.
   std::size_t factor_nnz() const { return l_nnz() + u_nnz(); }
 
   CsrPattern pattern;                ///< The analyzed matrix structure.
@@ -170,18 +162,41 @@ class SparseSymbolic {
   std::vector<std::int32_t> l_ptr, l_rows;
   /// U columns excluding the diagonal: original row and pivot position.
   std::vector<std::int32_t> u_ptr, u_rows, u_pos;
+
+  /// Flat refactor schedule: the left-looking elimination above, run on
+  /// the representative matrix once and recorded as slot operations
+  /// over one workspace of factor_nnz() slots. Factor column j owns
+  /// slots [col_slot[j], col_slot[j+1]): its U entries in u_ptr order,
+  /// the pivot at piv_slot[j], then its L entries in l_ptr order.
+  std::vector<std::int32_t> col_slot, piv_slot;
+  /// Scatter of A: CSR value index -> slot. fill_slots are the slots no
+  /// entry of A lands in; they start every refactor at zero.
+  std::vector<std::int32_t> a_slot, fill_slots;
+  /// Column j runs updates [upd_ptr[j], upd_ptr[j+1]) in the order the
+  /// left-looking loop meets them. Update u reads its multiplier from
+  /// slot upd_src[u] (skipped when it is zero) and, for each op o in
+  /// [op_ptr[u], op_ptr[u+1]), subtracts L slot upd_l[u] + (o -
+  /// op_ptr[u]) times the multiplier from slot op_dst[o].
+  std::vector<std::int32_t> upd_ptr, upd_src, upd_l, op_ptr, op_dst;
+  /// Pivot position of each L row (l_rows through pinv), for the
+  /// solve's pivot-space substitution.
+  std::vector<std::int32_t> l_pos;
+
+ private:
+  /// Records the schedule from the structure analyze() found.
+  void compile_schedule();
 };
 
 /// Numeric LU factors over a cached SparseSymbolic. refactor() is the
-/// hot path: no reach, no pivot search, just sparse flops in the
-/// recorded order.
+/// hot path: no reach, no pivot search, just the symbolic's recorded
+/// schedule of sparse flops.
 template <typename Scalar>
 class SparseFactorsT {
  public:
   /// Factors the CSR values (matching symbolic->pattern) with the
   /// recorded pivot sequence. Returns false -- and invalidates the
   /// factors -- when a pivot magnitude drops to `pivot_epsilon`.
-  bool refactor(std::shared_ptr<const SparseSymbolic> symbolic,
+  bool refactor(const std::shared_ptr<const SparseSymbolic>& symbolic,
                 const std::vector<Scalar>& csr_values,
                 double pivot_epsilon = 1e-13);
 
@@ -197,9 +212,8 @@ class SparseFactorsT {
 
  private:
   std::shared_ptr<const SparseSymbolic> symbolic_;
-  std::vector<Scalar> l_vals_, u_vals_, udiag_;
-  std::vector<Scalar> x_;  ///< dense scratch (factor + solve).
-  std::vector<Scalar> z_;  ///< pivot-space scratch (solve).
+  std::vector<Scalar> ws_;  ///< L, U and pivots in schedule slots.
+  std::vector<Scalar> z_;   ///< pivot-space scratch (solve).
   double min_abs_pivot_ = 0.0;
 };
 

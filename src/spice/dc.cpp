@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "spice/resilience.hpp"
@@ -35,10 +33,11 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
   SolverContext local_solver;
   SolverContext& ctx = solver != nullptr ? *solver : local_solver;
 
-  std::vector<double> b;
-  std::vector<double> x_new;
+  // The context's buffers keep their capacity from call to call.
+  std::vector<double>& b = ctx.newton_buffers().b;
+  std::vector<double>& x_new = ctx.newton_buffers().x_new;
+  std::vector<double>& best_x = ctx.newton_buffers().best_x;
   double best_max_dv = std::numeric_limits<double>::infinity();
-  std::vector<double> best_x;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Per-iteration wall-clock budget check (campaign resilience): a
     // class whose Newton iteration never settles throws TimeoutError
@@ -85,10 +84,6 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
         max_dv > options.max_step_v ? options.max_step_v / max_dv : 1.0;
     for (std::size_t i = 0; i < n; ++i)
       result.x[i] += alpha * (x_new[i] - result.x[i]);
-    static const bool debug = std::getenv("DOT_NEWTON_DEBUG") != nullptr;
-    if (debug)
-      std::fprintf(stderr, "  iter=%d alpha=%.3f max_dv=%.6g\n", iter, alpha,
-                   max_dv);
     if (alpha == 1.0 && max_dv < best_max_dv) {
       best_max_dv = max_dv;
       best_x = result.x;
@@ -101,7 +96,7 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
   // Loose acceptance for micro limit cycles (see DcOptions::loose_vtol):
   // return the best iterate seen if its Newton step was already tiny.
   if (best_max_dv < options.loose_vtol) {
-    result.x = std::move(best_x);
+    result.x = best_x;
     result.converged = true;
   }
   return result;

@@ -41,11 +41,14 @@ inline MosOperatingPoint eval_mos_region(const double beta,
   // Leakage component: exponential below threshold, saturating to its
   // vov = 0 value above it, so the total current stays continuous
   // through the threshold (no dead zone for fault leakage paths).
-  const double expo = safe_exp(std::min(vov, 0.0) / n_vt);
-  const double sat = 1.0 - safe_exp(-vds / kThermalVoltage);
+  // exp(min(vov, 0) / n_vt) is exactly 1 from vov = 0 up, so only a
+  // negative (or NaN) overdrive pays for the exp.
+  const double expo = vov >= 0.0 ? 1.0 : safe_exp(vov / n_vt);
+  const double drain_exp = safe_exp(-vds / kThermalVoltage);
+  const double sat = 1.0 - drain_exp;
   MosOperatingPoint op;
   op.ids = i0 * expo * sat;
-  op.gds = i0 * expo * safe_exp(-vds / kThermalVoltage) / kThermalVoltage;
+  op.gds = i0 * expo * drain_exp / kThermalVoltage;
   if (vov <= 0.0) {
     op.gm = op.ids / n_vt;
     op.gmb = -op.gm * dvt_dvbs;

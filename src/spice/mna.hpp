@@ -24,54 +24,42 @@ enum class AnalysisMode {
   kTransient,  ///< Capacitors become integration companions.
 };
 
-/// Precomputed Newton companion model for one MOSFET occurrence, in the
-/// device's NMOS-normalized convention; `ieq` already carries the
-/// polarity sign, so it stamps as-is (see the MOSFET branch in
-/// assemble_into). Produced by the SoA device kernel (MosKernel).
-struct MosCompanion {
-  double gm = 0.0;
-  double gds = 0.0;
-  double gmb = 0.0;
-  double ieq = 0.0;  ///< sign * (ids - gm*vgs - gds*vds - gmb*vbs).
-};
-
-/// Precompiled MOSFET stamp segments for the transient Newton loop.
+/// Compiled stamp stream of one netlist in one analysis mode: a whole
+/// Newton-iteration assembly as one flat replay.
 ///
-/// Stamping a MOSFET companion walks four Stamper calls per device:
-/// node-index lookups, grounded-terminal guards and sign branches that
-/// are identical every Newton iteration -- only the four companion
-/// values change. Once the assembler's trusted stream is frozen, the
-/// slot each add() lands in is fixed, so the whole per-device stamp
-/// collapses to a table of (CSR slot, +/-1 sign, companion field):
+/// Once the assembler's trusted stream is frozen, every add() lands in
+/// a fixed CSR slot, so an assembly reduces to "stream position p adds
+/// table[mat_src[p]]" (numeric::SparseAssemblerT::replay) plus the RHS
+/// adds "b[rhs_row[q]] += table[rhs_src[q]]". The table holds
+///   - 8 entries per MOSFET, rewritten by MosKernel every iteration:
+///     +gm, -gm, +gds, -gds, +gmb, -gmb, +ieq, -ieq (ieq carries the
+///     polarity sign);
+///   - then one entry per linear add in stream order: resistors,
+///     gshunt, capacitor and inductor companions, sources, VCVS/VCCS.
+/// Linear values depend only on the stamp options' gshunt, source
+/// scale, time, dt and mode and on the previous step, all fixed within
+/// one newton_solve call. An assembly whose inputs match, bit for bit,
+/// those of the last walk only replays; any other walks the netlist to
+/// refresh them (the first iteration of each call). A stream holding a
+/// diode or a switch walks every iteration. Each slot and each RHS
+/// entry sums the same values in the same order as the Stamper walk
+/// (negation is exact), so the assembled systems are bit-identical.
 ///
-///   values[slot[i]] += sign[i] * companions_flat[src[i]]
-///
-/// applied in the exact stream positions the Stamper calls occupied.
-/// Per CSR slot the contributions land in the same order with the same
-/// values (+/-1.0 multiplies are exact), so the assembled system is
-/// bit-identical to full stamping.
-///
-/// Owned by a MosKernel, one per transient run; callers without a
-/// kernel leave StampOptions::mos_plan null and are untouched. The plan
-/// is captured on the first trusted-stream round after the pattern
-/// freezes, keyed by the stream tag: a tag change (DC -> transient
-/// stream) discards and recaptures. assemble_mna validates the
-/// predicted add count against the assembler cursor at capture and
-/// throws on mismatch, so a desynchronized plan cannot ship values.
-struct MosStampPlan {
-  bool ready = false;
-  std::uint32_t tag = 0;  ///< Stream tag the plan was captured under.
-  /// Matrix entries, all MOSFETs concatenated in device order;
-  /// mat_ptr[m] .. mat_ptr[m+1] is the m-th MOSFET's slice.
-  std::vector<std::int32_t> slot;  ///< CSR value slot.
-  std::vector<double> sign;        ///< +/-1.0.
-  std::vector<std::int32_t> src;   ///< 4*mos + field (gm,gds,gmb,ieq).
-  std::vector<std::int32_t> mat_ptr;
-  /// RHS entries (the ieq injection), sliced by b_ptr like mat_ptr.
-  std::vector<std::int32_t> b_node;  ///< Unknown index in b.
-  std::vector<double> b_sign;
-  std::vector<std::int32_t> b_src;
-  std::vector<std::int32_t> b_ptr;
+/// Owned by a MosKernel. Captured from the Stamper walk on the first
+/// assembly under a stream tag, recaptured when the tag changes;
+/// replay and refresh throw std::logic_error if the stream no longer
+/// matches, so a stale program cannot ship values.
+struct StampProgram {
+  std::uint32_t tag = 0;  ///< Stream tag captured under; 0: none yet.
+  bool walk_every_iteration = false;  ///< A diode or switch is stamped.
+  std::size_t mos_entries = 0;  ///< 8 per MOSFET; linear entries follow.
+  std::vector<double> table;
+  std::vector<std::int32_t> mat_src;  ///< Matrix stream position -> table.
+  std::vector<std::int32_t> rhs_row;  ///< RHS adds in stream order.
+  std::vector<std::int32_t> rhs_src;
+  /// Inputs of the last walk: gshunt, source scale, time, dt, mode,
+  /// then the previous step.
+  std::vector<double> linear_inputs;
 };
 
 /// Options shared by assembly-based solvers.
@@ -87,23 +75,19 @@ struct StampOptions {
   // --- Fast-assembly hooks, installed by MosKernel::install (the
   // defaults run the plain Stamper walk; both assemble bit-identical
   // systems). ---
-  /// Precomputed MOSFET companions, one entry per Mosfet in device
-  /// order. When set, assembly consumes them instead of evaluating the
-  /// level-1 model inline; `prepare_assembly` is expected to refresh
-  /// them for the candidate iterate.
-  const std::vector<MosCompanion>* mos_companions = nullptr;
   /// Invoked with the candidate iterate at the top of every assembly,
   /// before any stamping: MosKernel gathers terminal voltages and runs
-  /// the SoA device kernel here.
+  /// the SoA device kernel here, writing the program's MOSFET entries.
   const std::function<void(const std::vector<double>& x)>* prepare_assembly =
       nullptr;
   /// Trusted-stream tag forwarded to SparseAssembler::begin (nonzero
   /// only when the caller guarantees the stamp stream is frozen for
   /// this netlist + analysis mode; see numeric::SparseAssemblerT).
   std::uint32_t stream_tag = 0;
-  /// Precompiled MOSFET stamp segments (sparse trusted streams with
-  /// mos_companions only; see MosStampPlan). Null disables the plan.
-  MosStampPlan* mos_plan = nullptr;
+  /// Stamp program whose MOSFET entries prepare_assembly refreshes
+  /// (see StampProgram). When set, MOSFETs stamp those entries instead
+  /// of evaluating the level-1 model inline.
+  StampProgram* program = nullptr;
 };
 
 /// Trusted-stream tags of the two stamp streams one netlist produces:
@@ -157,13 +141,13 @@ class MnaMap {
 
 struct PhaseTimes;
 
-/// Fast MOSFET assembly for one netlist: the SoA level-1 kernel over
-/// every MOSFET occurrence (gather terminal voltages, eval_mos_batch,
+/// Fast assembly for one netlist: the SoA level-1 kernel over every
+/// MOSFET occurrence (gather terminal voltages, eval_mos_batch,
 /// companion refresh) behind StampOptions::prepare_assembly, plus the
-/// precompiled stamp plan. The assembled systems are bit-identical to
+/// stamp program it feeds. The assembled systems are bit-identical to
 /// the plain Stamper walk: the kernel lanes match eval_mos, the
 /// companions are formed with the scalar branch's arithmetic in the
-/// same order, and the plan replays the exact stream slots.
+/// same order, and the program replays the exact stream.
 ///
 /// Holds a hook that points back at the kernel, so it is neither
 /// copyable nor movable; the netlist and map need not outlive it.
@@ -176,11 +160,14 @@ class MosKernel {
   /// Number of MOSFET occurrences (0: nothing to accelerate).
   std::size_t size() const { return sign_.size(); }
 
-  /// Routes the MOSFET stamping of `stamp` through this kernel on the
-  /// trusted stream `tag` (kDcStreamTag / kTransientStreamTag). The
-  /// stamp stream must then be fixed for that tag: same netlist, same
-  /// analysis mode.
+  /// Routes the assembly of `stamp` through this kernel and its stamp
+  /// program on the trusted stream `tag` (kDcStreamTag /
+  /// kTransientStreamTag). The stamp stream must then be fixed for that
+  /// tag: same netlist, same analysis mode.
   void install(StampOptions& stamp, std::uint32_t tag);
+
+  /// The program install() routes assembly through (read by tests).
+  const StampProgram& program() const { return program_; }
 
   /// Attaches a phase-time sink: kernel time is added to its
   /// device_eval_seconds (newton_solve subtracts it from assembly).
@@ -192,8 +179,7 @@ class MosKernel {
   std::vector<int> drain_, gate_, source_, bulk_;
   std::vector<double> sign_;
   DeviceBatch lanes_;
-  std::vector<MosCompanion> companions_;
-  MosStampPlan plan_;
+  StampProgram program_;
   std::function<void(const std::vector<double>&)> prepare_hook_;
   PhaseTimes* phase_times_ = nullptr;
 };

@@ -29,37 +29,41 @@ bool SolverContext::factor(std::size_t n) {
   const numeric::CsrPattern& pattern = assembler_.pattern();
   const std::vector<double>& values = assembler_.values();
 
-  std::shared_ptr<const numeric::SparseSymbolic> symbolic;
-  for (const auto& cached : cache_) {
-    if (cached->pattern == pattern) {
-      symbolic = cached;
-      break;
+  // Symbolic fast path: newton_solve factors every assembly, so a
+  // reused frozen pattern is the pattern of the last factorization and
+  // its analysis (the cache entry for it) still applies.
+  if (!assembler_.pattern_reused() || !symbolic_) {
+    symbolic_.reset();
+    for (const auto& cached : cache_) {
+      if (cached->pattern == pattern) {
+        symbolic_ = cached;
+        break;
+      }
+    }
+    if (!symbolic_) {
+      const double t0 = phase_times_ ? now_seconds() : 0.0;
+      symbolic_ = numeric::SparseSymbolic::analyze(pattern, values,
+                                                   options_.pivot_epsilon);
+      if (phase_times_)
+        phase_times_->factor_symbolic_seconds += now_seconds() - t0;
+      ++symbolic_analyses_;
+      if (symbolic_) {
+        cache_.push_back(symbolic_);
+        if (cache_.size() > kMaxSymbolicCache)
+          cache_.erase(cache_.begin() + 1);
+      }
     }
   }
-  if (!symbolic) {
-    const double t0 = phase_times_ ? now_seconds() : 0.0;
-    symbolic = numeric::SparseSymbolic::analyze(pattern, values,
-                                                options_.pivot_epsilon);
-    if (phase_times_)
-      phase_times_->factor_symbolic_seconds += now_seconds() - t0;
-    ++symbolic_analyses_;
-    if (symbolic) {
-      cache_.push_back(symbolic);
-      if (cache_.size() > kMaxSymbolicCache) cache_.erase(cache_.begin() + 1);
-    }
-  }
-  if (symbolic) {
+  if (symbolic_) {
     const double t0 = phase_times_ ? now_seconds() : 0.0;
     const bool ok =
-        factors_.refactor(symbolic, values, options_.pivot_epsilon);
+        factors_.refactor(symbolic_, values, options_.pivot_epsilon);
     if (phase_times_)
       phase_times_->factor_numeric_seconds += now_seconds() - t0;
     if (ok) {
       sparse_active_ = true;
       return true;
     }
-  }
-  if (symbolic) {
     // The cached pivot sequence collapsed on these values (the matrix
     // drifted too far from the analyzed one): analyze afresh.
     auto fresh = numeric::SparseSymbolic::analyze(pattern, values,
@@ -72,9 +76,11 @@ bool SolverContext::factor(std::size_t n) {
           break;
         }
       }
+      symbolic_ = std::move(fresh);
       sparse_active_ = true;
       return true;
     }
+    symbolic_.reset();
   }
   // Sparse analysis rejected the matrix (singular at pivot_epsilon, or
   // threshold pivoting could not stabilize it). Densify the assembled

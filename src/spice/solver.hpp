@@ -92,6 +92,13 @@ class SolverContext {
   /// Sparse assembly workspace (hand to assemble_mna, then factor(n)).
   numeric::SparseAssembler& assembler() { return assembler_; }
 
+  /// newton_solve's right-hand side, solution and best-iterate
+  /// buffers, kept here so a run of Newton solves reuses them.
+  struct NewtonBuffers {
+    std::vector<double> b, x_new, best_x;
+  };
+  NewtonBuffers& newton_buffers() { return newton_buffers_; }
+
   /// Factors what was just assembled for an n-unknown system: symbolic
   /// cache -> refactor -> re-analyze -> densified dense fallback.
   /// Returns false when the matrix is numerically singular on every
@@ -128,8 +135,12 @@ class SolverContext {
   numeric::DenseLu dense_;  ///< Densified fallback only.
   numeric::SparseAssembler assembler_;
   numeric::SparseFactors factors_;
+  NewtonBuffers newton_buffers_;
   /// Pattern-keyed symbolic cache, front = golden/seed entry.
   std::vector<std::shared_ptr<const numeric::SparseSymbolic>> cache_;
+  /// The cache entry of the last sparse factorization (null after the
+  /// dense fallback); factor() keeps it while the pattern is reused.
+  std::shared_ptr<const numeric::SparseSymbolic> symbolic_;
   std::size_t symbolic_analyses_ = 0;
   std::size_t factorizations_ = 0;
   bool sparse_active_ = false;

@@ -90,9 +90,13 @@ void TranStepper::step() {
     stamp_.time = t_next;
     stamp_.gshunt = options_.newton.gshunt;
 
-    DcResult step =
-        newton_solve(netlist_, map_, x_, stamp_, options_.newton, x_, solver_);
+    guess_ = x_;
+    DcResult step = newton_solve(netlist_, map_, std::move(guess_), stamp_,
+                                 options_.newton, x_, solver_);
     newton_iterations_ += static_cast<std::size_t>(step.iterations);
+    // Whichever buffer is left over becomes the next guess's.
+    if (step.converged) x_.swap(step.x);
+    guess_ = std::move(step.x);
     if (!step.converged) {
       dt_ /= 2.0;
       if (dt_ < options_.dt_min) {
@@ -109,7 +113,6 @@ void TranStepper::step() {
       }
       continue;
     }
-    x_ = std::move(step.x);
     t_ = t_next;
     // Recover the step size after successful steps.
     if (dt_ < options_.dt) dt_ = std::min(options_.dt, dt_ * 2.0);
@@ -122,18 +125,18 @@ bool TranStepper::gshunt_rescue() {
   stamp_.mode = AnalysisMode::kTransient;
   stamp_.dt = dt;
   stamp_.time = t_ + dt;
-  std::vector<double> guess = x_;
+  guess_ = x_;
   for (double g = options_.newton.gshunt_start;; g /= 10.0) {
     const bool last = g <= options_.newton.gshunt;
     stamp_.gshunt = last ? options_.newton.gshunt : g;
-    DcResult rung = newton_solve(netlist_, map_, std::move(guess), stamp_,
+    DcResult rung = newton_solve(netlist_, map_, std::move(guess_), stamp_,
                                  options_.newton, x_, solver_);
     newton_iterations_ += static_cast<std::size_t>(rung.iterations);
+    guess_ = std::move(rung.x);
     if (!rung.converged) return false;
-    guess = std::move(rung.x);
     if (last) break;
   }
-  x_ = std::move(guess);
+  x_.swap(guess_);
   t_ += dt;
   dt_ = dt;  // the normal per-step recovery doubles it back up
   ++gshunt_rescues_;

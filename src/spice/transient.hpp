@@ -124,9 +124,8 @@ class TranStepper {
   std::size_t gshunt_rescues() const { return gshunt_rescues_; }
 
   /// Stamp template used for every assembly: transient() installs its
-  /// MosKernel hooks (mos_companions / prepare_assembly / stream_tag /
-  /// mos_plan) here. Per-step fields (mode, dt, time, gshunt) are
-  /// overwritten by step().
+  /// MosKernel hooks (prepare_assembly / stream_tag / program) here.
+  /// Per-step fields (mode, dt, time, gshunt) are overwritten by step().
   StampOptions& stamp_overrides() { return stamp_; }
 
  private:
@@ -145,6 +144,7 @@ class TranStepper {
   SolverContext* solver_;
   StampOptions stamp_;
   std::vector<double> x_;
+  std::vector<double> guess_;  ///< Newton starting point, reused per step.
   double t_ = 0.0;
   double dt_ = 0.0;
   std::size_t newton_iterations_ = 0;

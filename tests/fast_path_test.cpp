@@ -1,6 +1,6 @@
 // Building blocks of the transient engine's fast path: the SoA level-1
-// MOSFET kernel, the trusted-stream assembler, the precompiled MOSFET
-// stamp plan and branch_at. Every case here asserts *bit* identity
+// MOSFET kernel, the trusted-stream assembler, the whole-stream stamp
+// program and branch_at. Every case here asserts *bit* identity
 // against the plain code path it replaces -- the campaign verdicts rest
 // on these -- and the last case pins the whole fast path as transient()
 // runs it.
@@ -115,79 +115,118 @@ TEST(MnaMap, BranchAtMatchesBranchIndex) {
 }
 
 // ---------------------------------------------------------------------
-// Precompiled MOSFET stamp plan (MosStampPlan).
+// Whole-stream stamp program (StampProgram).
 
-// Assembles the comparator bench with and without a stamp plan over
-// several rounds of changing companion values and iterates, asserting
-// bit-identical matrices and right-hand sides. Rounds 0/1 exercise the
-// freeze and capture paths, later rounds the flat apply loop.
-TEST(MosStampPlan, AssembliesBitIdenticalToStamperWalk) {
-  const auto macro = flashadc::build_comparator_netlist();
-  const auto bench = flashadc::instantiate_comparator_bench(macro, 0.02);
-  const spice::MnaMap map(bench);
+// One newton_solve call as assembly sees it: fixed stamp options and a
+// previous step (numbered: calls with one number share it), with an
+// iterate that moves every iteration.
+struct SolveCall {
+  spice::AnalysisMode mode = spice::AnalysisMode::kDc;
+  double gshunt = 1e-12;
+  double source_scale = 1.0;
+  double time = 0.0;
+  double dt = 0.0;
+  std::size_t prev_step = 0;
+};
 
-  std::size_t n_mos = 0;
-  for (const auto& device : bench.devices())
-    if (std::holds_alternative<spice::Mosfet>(device)) ++n_mos;
-  ASSERT_GT(n_mos, 0u);
+// The calls a transient() run makes, in order: the t = 0 DC solve
+// (plain Newton, the gmin ladder, source stepping) on the DC stream,
+// then time steps on the transient stream, one of them failing into a
+// halved dt, and a gshunt-rescue ladder at dt_min. Three more calls
+// change the time, the dt or the previous step alone, so each input of
+// the linear entries is seen to refresh them by itself.
+std::vector<SolveCall> newton_call_sequence() {
+  const auto dc = spice::AnalysisMode::kDc;
+  const auto tran = spice::AnalysisMode::kTransient;
+  std::vector<SolveCall> calls;
+  calls.push_back({});
+  for (double g = 1e-3; g > 1e-12; g /= 10.0) calls.push_back({dc, g});
+  for (int s = 1; s <= 4; ++s) calls.push_back({dc, 1e-12, s / 4.0});
+  calls.push_back({tran, 1e-12, 1.0, 0.5e-9, 0.5e-9, 1});
+  calls.push_back({tran, 1e-12, 1.0, 1.0e-9, 0.5e-9, 2});    // fails,
+  calls.push_back({tran, 1e-12, 1.0, 0.75e-9, 0.25e-9, 2});  // halved
+  calls.push_back({tran, 1e-12, 1.0, 0.75e-9, 0.125e-9, 2});  // dt only
+  calls.push_back({tran, 1e-12, 1.0, 0.875e-9, 0.125e-9, 2});  // time only
+  calls.push_back({tran, 1e-12, 1.0, 1.125e-9, 0.25e-9, 3});
+  calls.push_back({tran, 1e-12, 1.0, 1.125e-9, 0.25e-9, 4});  // step only
+  for (double g = 1e-3;; g /= 10.0) {
+    const bool last = g <= 1e-12;
+    calls.push_back({tran, last ? 1e-12 : g, 1.0, 1.125e-9 + 1e-13, 1e-13, 4});
+    if (last) break;
+  }
+  return calls;
+}
 
-  std::vector<spice::MosCompanion> companions(n_mos);
-  auto refresh_companions = [&](std::size_t round) {
-    for (std::size_t i = 0; i < n_mos; ++i) {
-      companions[i].gm = 1e-4 * (1.0 + wiggle(i, round));
-      companions[i].gds = 1e-5 * (1.0 + wiggle(i + 1, round));
-      companions[i].gmb = 1e-6 * (1.0 + wiggle(i + 2, round));
-      companions[i].ieq = 1e-5 * wiggle(i + 3, round);
-    }
-  };
-
-  spice::MosStampPlan plan;
-  spice::StampOptions with_plan;
-  with_plan.mos_companions = &companions;
-  with_plan.stream_tag = 7;
-  with_plan.mos_plan = &plan;
-  spice::StampOptions without_plan = with_plan;
-  without_plan.mos_plan = nullptr;
-
-  numeric::SparseAssembler a_plan;
+// Drives a MosKernel-installed assembly through newton_call_sequence()
+// -- four iterations per call, the first walking the netlist to refresh
+// the linear entries, the rest replaying them -- and asserts every CSR
+// value array and RHS equals the plain Stamper walk's, bit for bit.
+void expect_program_matches_walk(const spice::Netlist& netlist,
+                                 bool expect_walk_every_iteration) {
+  const spice::MnaMap map(netlist);
+  spice::MosKernel kernel(netlist, map);
+  ASSERT_GT(kernel.size(), 0u);
+  numeric::SparseAssembler a_fast;
   numeric::SparseAssembler a_ref;
-  std::vector<double> b_plan;
+  std::vector<double> b_fast;
   std::vector<double> b_ref;
-  std::vector<double> x(map.size(), 0.0);
-  const std::vector<double> x_prev(map.size(), 0.1);
-
-  for (std::size_t round = 0; round < 5; ++round) {
-    refresh_companions(round);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = wiggle(i, round);
-    assemble_mna(bench, map, x, x_prev, with_plan, a_plan, b_plan);
-    assemble_mna(bench, map, x, x_prev, without_plan, a_ref, b_ref);
-    EXPECT_EQ(a_plan.values(), a_ref.values()) << "round " << round;
-    EXPECT_EQ(b_plan, b_ref) << "round " << round;
-    // Round 0 freezes the pattern, round 1 captures the plan, round 2+
-    // run the flat apply loop.
-    EXPECT_EQ(plan.ready, round >= 1) << "round " << round;
+  std::vector<double> x(map.size());
+  std::vector<double> x_prev(map.size());
+  std::size_t round = 0;
+  std::uint32_t last_tag = 0;
+  for (const SolveCall& call : newton_call_sequence()) {
+    spice::StampOptions plain;
+    plain.mode = call.mode;
+    plain.gshunt = call.gshunt;
+    plain.source_scale = call.source_scale;
+    plain.time = call.time;
+    plain.dt = call.dt;
+    spice::StampOptions hooked = plain;
+    const std::uint32_t tag = call.mode == spice::AnalysisMode::kDc
+                                  ? spice::kDcStreamTag
+                                  : spice::kTransientStreamTag;
+    kernel.install(hooked, tag);
+    for (std::size_t i = 0; i < x_prev.size(); ++i)
+      x_prev[i] = call.prev_step == 0 ? 0.0 : wiggle(i, 1000 + call.prev_step);
+    for (int iter = 0; iter < 4; ++iter, ++round) {
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] = wiggle(i, round);
+      spice::assemble_mna(netlist, map, x, x_prev, hooked, a_fast, b_fast);
+      spice::assemble_mna(netlist, map, x, x_prev, plain, a_ref, b_ref);
+      ASSERT_EQ(a_fast.pattern(), a_ref.pattern()) << "round " << round;
+      ASSERT_EQ(a_fast.values(), a_ref.values()) << "round " << round;
+      ASSERT_EQ(b_fast, b_ref) << "round " << round;
+      // The first round on a stream stamps and captures; every later
+      // one is a trusted replay.
+      EXPECT_EQ(a_fast.fast_path_used(), tag == last_tag)
+          << "round " << round;
+      EXPECT_EQ(kernel.program().tag, tag);
+      last_tag = tag;
+    }
   }
-  EXPECT_EQ(plan.mat_ptr.size(), n_mos + 1);
-  EXPECT_EQ(plan.b_ptr.size(), n_mos + 1);
-  EXPECT_EQ(plan.tag, 7u);
+  EXPECT_EQ(kernel.program().walk_every_iteration,
+            expect_walk_every_iteration);
+}
 
-  // A stream-tag change (the DC -> transient hand-off in transient())
-  // invalidates and recaptures the plan on the new stream.
-  with_plan.mode = spice::AnalysisMode::kTransient;
-  with_plan.dt = 1e-9;
-  with_plan.stream_tag = 8;
-  without_plan.mode = spice::AnalysisMode::kTransient;
-  without_plan.dt = 1e-9;
-  without_plan.stream_tag = 8;
-  for (std::size_t round = 5; round < 9; ++round) {
-    refresh_companions(round);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = wiggle(i, round);
-    assemble_mna(bench, map, x, x_prev, with_plan, a_plan, b_plan);
-    assemble_mna(bench, map, x, x_prev, without_plan, a_ref, b_ref);
-    EXPECT_EQ(a_plan.values(), a_ref.values()) << "round " << round;
-    EXPECT_EQ(b_plan, b_ref) << "round " << round;
-  }
-  EXPECT_EQ(plan.tag, 8u);
+TEST(StampProgram, AssembliesBitIdenticalToStamperWalk) {
+  const auto macro = flashadc::build_comparator_netlist();
+  expect_program_matches_walk(
+      flashadc::instantiate_comparator_bench(macro, 0.02), false);
+}
+
+// A diode and a switch move their stamps with x, so the program walks
+// the netlist every iteration; the extra linear kinds (inductor, VCVS,
+// VCCS, current source) ride along.
+TEST(StampProgram, DiodeAndSwitchNetlistBitIdenticalToStamperWalk) {
+  const auto macro = flashadc::build_comparator_netlist();
+  auto bench = flashadc::instantiate_comparator_bench(macro, 0.02);
+  bench.add_diode("dx", "q", "qb");
+  bench.add_switch(spice::Switch{}, "sx", "q", "0", "clk1", "0");
+  bench.add_inductor("lx", "qb", "0", 1e-6);
+  bench.add_vcvs("ex", "ex_out", "0", "q", "qb", 2.0);
+  bench.add_resistor("rex", "ex_out", "0", 1e4);
+  bench.add_vccs("gx", "q", "0", "qb", "0", 1e-5);
+  bench.add_isource("ix", "qb", "0", spice::SourceSpec::dc(1e-6));
+  expect_program_matches_walk(bench, true);
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "flashadc/campaign.hpp"
 #include "flashadc/journal.hpp"
 #include "flashadc/report.hpp"
+#include "macro/signature.hpp"
 #include "spice/resilience.hpp"
 #include "util/error.hpp"
 #include "util/journal.hpp"
@@ -326,23 +327,42 @@ TEST(Injection, AidEscalationRescuesClass) {
 }
 
 TEST(Injection, ConvergenceFailureStaysDetectedByConstruction) {
-  auto config = injection_config();
-  spice::InjectionPlan plan;
-  plan.mode = spice::InjectionPlan::Mode::kConvergence;
-  plan.macro = "biasgen";
-  plan.class_indices = {0};
-  PlanGuard guard(std::move(plan));
+  // Each DC macro flags its own supply or input current when a faulty
+  // netlist has no operating point; the flag is the whole current
+  // signature, so a swapped flag fails here.
+  struct Case {
+    const char* macro;
+    macro::CurrentSignature fallback;
+  };
+  const Case cases[] = {
+      {"ladder", {.iinput = true}},
+      {"biasgen", {.ivdd = true}},
+      {"clockgen", {.iddq = true}},
+      {"decoder", {.iddq = true}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.macro);
+    auto config = injection_config();
+    spice::InjectionPlan plan;
+    plan.mode = spice::InjectionPlan::Mode::kConvergence;
+    plan.macro = c.macro;
+    plan.class_indices = {0};
+    PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_macro_campaign("biasgen", config);
-  ASSERT_FALSE(r.catastrophic.empty());
-  // ConvergenceError is a statement about the circuit, not the
-  // infrastructure: the macro simulator converts it to converged=false
-  // and the class is detected-by-construction on the first attempt.
-  const auto& pathological = r.catastrophic[0];
-  EXPECT_EQ(pathological.status, flashadc::EvalStatus::kOk);
-  EXPECT_EQ(pathological.attempts, 1);
-  EXPECT_TRUE(pathological.detection.detected());
-  EXPECT_TRUE(pathological.current.ivdd);
+    const auto r = flashadc::run_macro_campaign(c.macro, config);
+    ASSERT_FALSE(r.catastrophic.empty());
+    // ConvergenceError is a statement about the circuit, not the
+    // infrastructure: the macro simulator converts it to
+    // converged=false and the class is detected-by-construction on the
+    // first attempt.
+    const auto& pathological = r.catastrophic[0];
+    EXPECT_EQ(pathological.status, flashadc::EvalStatus::kOk);
+    EXPECT_EQ(pathological.attempts, 1);
+    EXPECT_TRUE(pathological.detection.detected());
+    EXPECT_EQ(pathological.current.ivdd, c.fallback.ivdd);
+    EXPECT_EQ(pathological.current.iddq, c.fallback.iddq);
+    EXPECT_EQ(pathological.current.iinput, c.fallback.iinput);
+  }
 }
 
 // ---------------------------------------------------------------------

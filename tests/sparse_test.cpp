@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <complex>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "numeric/complex_lu.hpp"
@@ -19,6 +22,7 @@
 #include "spice/solver.hpp"
 #include "util/rng.hpp"
 #include "dense_reference.hpp"
+#include "sparse_reference.hpp"
 
 namespace dot {
 namespace {
@@ -265,6 +269,124 @@ TEST(SparseFactorization, ZeroDiagonalHandledByPivoting) {
   // x1 = 5 (from row 0); x0 = 2 - 1e-3 * 5.
   EXPECT_NEAR(x[1], 5.0, 1e-12);
   EXPECT_NEAR(x[0], 2.0 - 5e-3, 1e-12);
+}
+
+// ------------------------ flat refactor schedule vs left-looking loop
+
+/// Random off-diagonal value; about one in six is exactly zero, so the
+/// zero-multiplier skips of the refactor and the solve both fire.
+template <typename Scalar>
+Scalar random_entry(util::Rng& rng) {
+  if (rng.below(6) == 0) return Scalar(0);
+  if constexpr (std::is_same_v<Scalar, double>) {
+    return rng.uniform(-1.0, 1.0);
+  } else {
+    return Scalar(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+  }
+}
+
+/// Refactors `rounds` value sets of one random pattern (analyzed on the
+/// first) with SparseFactorsT and the reference loop, and requires the
+/// same outcome, the same smallest pivot and bit-identical solutions.
+template <typename Scalar>
+void expect_schedule_matches_reference(util::Rng& rng, std::size_t n,
+                                       int rounds) {
+  std::vector<std::pair<std::size_t, std::size_t>> entries;
+  for (int e = 0; e < static_cast<int>(3 * n); ++e) {
+    const auto r = rng.below(n);
+    const auto c = rng.below(n);
+    if (r != c) entries.emplace_back(r, c);
+  }
+  numeric::SparseAssemblerT<Scalar> a;
+  numeric::SparseFactorsT<Scalar> factors;
+  testing_support::ReferenceLu<Scalar> reference;
+  std::shared_ptr<const SparseSymbolic> sym;
+  for (int round = 0; round < rounds; ++round) {
+    a.begin(n);
+    std::vector<double> diag(n, 0.5);
+    for (const auto& [r, c] : entries) {
+      const Scalar v = random_entry<Scalar>(rng);
+      a.add(r, c, v);
+      diag[r] += std::abs(v);
+    }
+    for (std::size_t i = 0; i < n; ++i) a.add(i, i, Scalar(diag[i]));
+    a.finish();
+    if (!sym) {
+      sym = SparseSymbolic::analyze(a.pattern(), a.values());
+      ASSERT_NE(sym, nullptr) << "n = " << n;
+      EXPECT_GT(sym->factor_nnz(), a.pattern().nnz()) << "no fill, n = " << n;
+      EXPECT_EQ(static_cast<std::size_t>(sym->col_slot.back()),
+                sym->factor_nnz());
+    }
+    const bool ok = factors.refactor(sym, a.values());
+    ASSERT_EQ(ok, reference.refactor(*sym, a.values(), 1e-13))
+        << "n = " << n << " round " << round;
+    EXPECT_EQ(factors.min_abs_pivot(), reference.min_abs_pivot);
+    ASSERT_TRUE(ok);
+    std::vector<Scalar> b(n), x;
+    for (std::size_t i = 0; i < n; ++i) b[i] = random_entry<Scalar>(rng);
+    factors.solve_into(b, x);
+    EXPECT_EQ(x, reference.solve(*sym, b)) << "n = " << n << " round "
+                                           << round;
+  }
+}
+
+TEST(SparseSchedule, RealRefactorAndSolveBitIdenticalToReference) {
+  util::Rng rng(4711);
+  for (const std::size_t n : {6u, 19u, 39u, 140u})
+    expect_schedule_matches_reference<double>(rng, n, 5);
+}
+
+TEST(SparseSchedule, ComplexRefactorAndSolveBitIdenticalToReference) {
+  util::Rng rng(815);
+  for (const std::size_t n : {6u, 24u, 77u})
+    expect_schedule_matches_reference<std::complex<double>>(rng, n, 4);
+}
+
+// Rows 2 and 3 couple through [[1, 1], [1, c]], every other row is a
+// lone diagonal. Minimum degree eliminates 0, 1, 4, 5, then 2, then 3,
+// so factor column 5 carries the Schur complement c - 1: analyzed at
+// c = 2 it is 1; refactored at c = 1 it collapses to exactly 0 there.
+TEST(SparseSchedule, PivotCollapseAtTheSameColumnAsReference) {
+  auto assemble = [](SparseAssembler& a, double c) {
+    a.begin(6);
+    for (std::size_t i : {0u, 1u, 4u, 5u}) a.add(i, i, 1.0 + i);
+    a.add(2, 2, 1.0);
+    a.add(2, 3, 1.0);
+    a.add(3, 2, 1.0);
+    a.add(3, 3, c);
+    a.finish();
+  };
+  SparseAssembler a;
+  assemble(a, 2.0);
+  const auto sym = SparseSymbolic::analyze(a.pattern(), a.values());
+  ASSERT_NE(sym, nullptr);
+  const std::vector<std::int32_t> order = {0, 1, 4, 5, 2, 3};
+  ASSERT_EQ(sym->qperm, order);
+  assemble(a, 1.0);
+
+  testing_support::ReferenceLu<double> reference;
+  EXPECT_FALSE(reference.refactor(*sym, a.values(), 1e-13));
+  EXPECT_EQ(reference.failed_column, 5);
+  SparseFactors factors;
+  EXPECT_FALSE(factors.refactor(sym, a.values()));
+  EXPECT_FALSE(factors.valid());
+  EXPECT_EQ(factors.min_abs_pivot(), 0.0);
+  EXPECT_EQ(factors.min_abs_pivot(), reference.min_abs_pivot);
+
+  // Collapse anywhere earlier would report that column's pivot: move
+  // the singular block's first pivot to zero and column 4 fails.
+  a.begin(6);
+  for (std::size_t i : {0u, 1u, 4u, 5u}) a.add(i, i, 1.0 + i);
+  a.add(2, 2, 0.0);
+  a.add(2, 3, 0.0);
+  a.add(3, 2, 0.0);
+  a.add(3, 3, 1.0);
+  a.finish();
+  EXPECT_FALSE(reference.refactor(*sym, a.values(), 1e-13));
+  EXPECT_EQ(reference.failed_column, 4);
+  EXPECT_FALSE(factors.refactor(sym, a.values()));
+  EXPECT_EQ(factors.min_abs_pivot(), reference.min_abs_pivot);
 }
 
 // ---------------------------------------------- SolverContext caching
